@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .backend import poly_add_scaled
 from .freering import Alphabet, ParseError, parse_freepoly
 from .gamma import ContextError, format_gamma, parse_gamma, tau
 from .invariants import MatrixInvariants
@@ -211,8 +212,7 @@ def cmd_sym(args) -> int:
     if sym.basis == "m":
         acc: dict = {}
         for p, c in sym.sorted_terms():
-            for q, v in m_to_e(p, sym.nvars).terms.items():
-                acc[q] = acc.get(q, 0) + c * v
+            poly_add_scaled(acc, m_to_e(p, sym.nvars).terms, c)
         sym = SymPoly("e", acc, sym.nvars)
     print(format_sympoly(sym))
     return 0

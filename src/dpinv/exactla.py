@@ -1,29 +1,35 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers, and span membership over Q.
 
-Ranks use fraction-free Bareiss elimination (through the kernel backend);
-Smith normal form and span membership are plain desk-scale implementations,
-good for the few-hundred-column matrices the graded checks produce.
+Ranks use fraction-free Bareiss elimination (Bareiss 1968, Math. Comp. 22)
+on integer matrices; Smith normal form and span membership are plain
+desk-scale implementations, good for the few-hundred-column matrices the
+graded checks produce.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import lcm
 
 from .backend import bareiss_rank
 
 
 class ExactMatrix:
-    """Rectangular matrix of ints (or Fractions) stored densely by rows."""
+    """Rectangular matrix of ints stored densely by rows."""
 
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        self.rows = [list(r) for r in rows]
+        """Copy rows; entries must be ints (float or Fraction raises
+        TypeError) and every row must have ncols entries when it is given."""
+        self.rows = [list(map(operator.index, r)) for r in rows]
         if self.rows:
-            self.ncols = len(self.rows[0])
+            width = len(self.rows[0])
+            if ncols is not None and ncols != width:
+                raise ValueError(f"ncols={ncols} but rows have {width} entries")
+            self.ncols = width
             for r in self.rows:
-                if len(r) != self.ncols:
+                if len(r) != width:
                     raise ValueError("ragged rows")
         else:
             self.ncols = 0 if ncols is None else ncols
@@ -36,36 +42,15 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for r in self.rows:
-            if any(isinstance(a, Fraction) for a in r):
-                m = lcm(*(a.denominator if isinstance(a, Fraction) else 1
-                          for a in r)) if r else 1
-                out.append([int(a * m) for a in r])
-            else:
-                out.append(list(r))
-        return out
-
     def rank(self) -> int:
-        """Rank over Q; scaling rows by denominators does not change it."""
+        """Rank over Q."""
         if not self.rows or self.ncols == 0:
             return 0
-        return bareiss_rank(self._integer_rows())
+        return bareiss_rank(self.rows)
 
     def smith_normal_form(self) -> list[int]:
         """Nonzero elementary divisors d_1 | d_2 | ..., all positive."""
-        m = []
-        for r in self.rows:
-            row = []
-            for a in r:
-                if isinstance(a, Fraction):
-                    if a.denominator != 1:
-                        raise ValueError("Smith form needs integer entries")
-                    a = a.numerator
-                row.append(int(a))
-            m.append(row)
-        return smith_divisors(m, self.ncols)
+        return smith_divisors(self.rows, self.ncols)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from .backend import poly_add_scaled
+
 
 class ParseError(ValueError):
     """Raised on malformed text input; carries the 0-based offset."""
@@ -271,15 +273,8 @@ class FreePoly:
         return isinstance(other, FreePoly) and self.terms == other.terms
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            elif w in out:
-                del out[w]
         res = FreePoly.__new__(FreePoly)
-        res.terms = out
+        res.terms = poly_add_scaled(dict(self.terms), other.terms, 1)
         return res
 
     def __neg__(self) -> "FreePoly":

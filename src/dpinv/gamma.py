@@ -18,6 +18,7 @@ import functools
 import math
 from typing import Iterable, Iterator
 
+from .backend import poly_add_scaled
 from .freering import Alphabet, FreePoly, ParseError, Word
 
 
@@ -142,15 +143,8 @@ class GammaElement:
 
     def __add__(self, other: "GammaElement") -> "GammaElement":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
         res = GammaElement.__new__(GammaElement)
-        res.terms = out
+        res.terms = poly_add_scaled(dict(self.terms), other.terms, 1)
         res.level = self.level
         return res
 
@@ -287,20 +281,11 @@ def tau(g: GammaElement, h: GammaElement) -> GammaElement:
     truncated, which is the definition of the level-n multiplication.
     """
     g._check(h)
-    level = g.level
     acc: dict[DPMonomial, int] = {}
     for mu, cu in g.terms.items():
         for mv, cv in h.terms.items():
-            c = cu * cv
-            for mono, k in tau_monomials(mu, mv).terms.items():
-                if level is not None and mono.weight > level:
-                    continue
-                nc = acc.get(mono, 0) + k * c
-                if nc:
-                    acc[mono] = nc
-                elif mono in acc:
-                    del acc[mono]
-    return GammaElement(acc, level)
+            poly_add_scaled(acc, tau_monomials(mu, mv).terms, cu * cv)
+    return GammaElement(acc, g.level)
 
 
 def tau_n(g: GammaElement, h: GammaElement, n: int) -> GammaElement:
@@ -345,7 +330,8 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
 
     Writing f as a sum of words, the expansion distributes k over the
     support multinomially, scaling each word's slot by its coefficient
-    raised to the slot's exponent.
+    raised to the slot's exponent.  Distinct compositions give distinct
+    monomials, so no two terms collect.
     """
     if f.constant_term != 0:
         raise ValueError("dp_expand requires a zero constant term")
@@ -353,21 +339,11 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
         raise ValueError("negative divided power")
     words = f.words()
     coeffs = [f.terms[w] for w in words]
-    acc: dict[DPMonomial, int] = {}
+    terms: dict[DPMonomial, int] = {}
     for xi in _compositions(k, len(words)):
-        c = 1
-        for cw, e in zip(coeffs, xi):
-            if e:
-                c *= cw ** e
         mono = DPMonomial((w, e) for w, e in zip(words, xi) if e)
-        nc = acc.get(mono, 0) + c
-        if nc:
-            acc[mono] = nc
-        elif mono in acc:
-            del acc[mono]
-    if k == 0:
-        return GammaElement.one(None)
-    return GammaElement(acc, None)
+        terms[mono] = math.prod(cw ** e for cw, e in zip(coeffs, xi))
+    return GammaElement(terms, None)
 
 
 class NormedTensor:

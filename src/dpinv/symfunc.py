@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+from .backend import poly_add_scaled
 from .freering import FreePoly, ParseError
 from .gamma import GammaElement, dp_expand, tau
 
@@ -125,12 +126,7 @@ class SymPoly:
         for p, c in self.terms.items():
             expansion = (_monomial_orbit(p, self.nvars) if self.basis == "m"
                          else _e_product_monomials(p, self.nvars))
-            for k, v in expansion.items():
-                nc = out.get(k, 0) + c * v
-                if nc:
-                    out[k] = nc
-                elif k in out:
-                    del out[k]
+            poly_add_scaled(out, expansion, c)
         return out
 
     def __repr__(self) -> str:
@@ -147,12 +143,7 @@ def _monomials_to_e(mono: dict[tuple, int], nvars: int) -> dict[Partition, int]:
         c = work[lead]
         lam = conjugate(tuple(e for e in lead if e))
         result[lam] = result.get(lam, 0) + c
-        for k, v in _e_product_monomials(lam, nvars).items():
-            nc = work.get(k, 0) - c * v
-            if nc:
-                work[k] = nc
-            elif k in work:
-                del work[k]
+        poly_add_scaled(work, _e_product_monomials(lam, nvars), -c)
     return {p: c for p, c in result.items() if c}
 
 

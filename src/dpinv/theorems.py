@@ -11,12 +11,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import prod
 
 from .exactla import ExactMatrix
 from .freering import Alphabet, FreePoly, Word, enumerate_words
 from .gamma import (DPMonomial, GammaElement, dp_expand, enumerate_dp_monomials,
                     merge_factors, rho_n, sigma_n, tau)
-from .invariants import MatrixInvariants
+from .invariants import MatrixInvariants, det_cofactor
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
@@ -148,10 +150,10 @@ def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return g
 
 
-def _conjugation_spot_check(inv: MatrixInvariants, span, d, seed, n) -> bool:
-    """Specialize the generic matrices randomly and conjugate: invariants
-    must not move.  Deterministic per (seed, n, d)."""
-    if not span:
+def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
+    """Specialize the generic matrices randomly and conjugate: none of the
+    given polynomials may move.  Deterministic per (seed, n, d)."""
+    if not polys:
         return True
     rng = random.Random(f"{seed}:{n}:{d}")
     nletters = len(inv.alphabet)
@@ -159,10 +161,6 @@ def _conjugation_spot_check(inv: MatrixInvariants, span, d, seed, n) -> bool:
             for _ in range(nletters)]
     g = _random_unimodular(rng, n)
     # inverse of a unimodular integer matrix via adjugate over Fractions
-    from fractions import Fraction
-
-    from .invariants import det_cofactor
-
     det = det_cofactor(g)
     ginv = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -181,10 +179,7 @@ def _conjugation_spot_check(inv: MatrixInvariants, span, d, seed, n) -> bool:
         conj.append([[int(x) for x in row] for row in c])
     flat = [a for m in mats for row in m for a in row]
     flat_c = [a for m in conj for row in m for a in row]
-    for p in span[:2]:
-        if p.evaluate(flat) != p.evaluate(flat_c):
-            return False
-    return True
+    return all(p.evaluate(flat) == p.evaluate(flat_c) for p in polys)
 
 
 def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,
@@ -217,7 +212,8 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     span_rows = [p.coeff_vector(cols) for p in span]
     pi_rows = [p.coeff_vector(cols) for p in pi_polys]
     rhs_rank = ExactMatrix(span_rows, len(cols)).rank()
-    pi_rank = ExactMatrix(pi_rows, len(cols)).rank()
+    pi_mat = ExactMatrix(pi_rows, len(cols))
+    pi_rank = pi_mat.rank()
     kernel_rank = len(basis) - pi_rank
 
     passed = (lhs_rank == rhs_rank) and (kernel_rank == rel_rank)
@@ -227,15 +223,12 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
         if any(t != 1 for t in torsion):
             passed = False
         # the pi-image lattice must already contain the spanning set over Z
-        from math import prod
-
         both = ExactMatrix(pi_rows + span_rows, len(cols))
-        pi_mat = ExactMatrix(pi_rows, len(cols))
         if both.rank() != pi_rank or \
                 prod(pi_mat.smith_normal_form()) != prod(both.smith_normal_form()):
             passed = False
     if seed is not None:
-        if not _conjugation_spot_check(inv, span, d, seed, n):
+        if not _conjugation_spot_check(inv, pi_polys, d, seed, n):
             passed = False
     millis = int((time.perf_counter() - t0) * 1000) if timing else 0
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,

@@ -55,9 +55,16 @@ def test_rank_matches_fraction_gauss():
         assert ExactMatrix(rows, nc).rank() == fraction_gauss_rank(rows)
 
 
-def test_rank_with_fraction_entries():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    assert ExactMatrix(rows).rank() == fraction_gauss_rank(rows)
+def test_rejects_non_integer_entries_and_wrong_ncols():
+    # a float reaching Bareiss' floor division gave rank 1 for this rank-2
+    # matrix, and a disagreeing ncols was silently ignored
+    with pytest.raises(TypeError):
+        ExactMatrix([[0.5, 0.25], [0.25, 0.5]])
+    with pytest.raises(TypeError):
+        ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [1, 2]])
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2]], ncols=5)
+    assert ExactMatrix([[1, 2]], ncols=2).shape == (1, 2)
 
 
 def test_rank_invariant_under_shuffles_and_scalings():

@@ -1,81 +1,77 @@
-"""The compiled and pure-Python kernels must agree exactly."""
+"""The packed-key kernels against plain references on exponent tuples."""
 
 import random
 
-import pytest
+from dpinv.backend import bareiss_rank, poly_add_scaled, poly_mul
 
-from dpinv import _kernels_py
-
-try:
-    from dpinv import _kernels_cy
-    BACKENDS = [_kernels_py, _kernels_cy]
-except ImportError:
-    _kernels_cy = None
-    BACKENDS = [_kernels_py]
+WIDTH, NVARS = 16, 3
 
 
-def random_poly(rng, nterms, width=3):
+def random_poly(rng, nterms):
     out = {}
     for _ in range(nterms):
         key = 0
-        for i in range(width):
-            key |= rng.randint(0, 6) << (16 * i)
+        for i in range(NVARS):
+            key |= rng.randint(0, 6) << (WIDTH * i)
         out[key] = rng.randint(-9, 9) or 1
     return out
 
 
-def test_poly_mul_backends_agree():
+def unpack(key):
+    return tuple((key >> (WIDTH * i)) & ((1 << WIDTH) - 1)
+                 for i in range(NVARS))
+
+
+def unpacked(poly):
+    return {unpack(k): c for k, c in poly.items()}
+
+
+def reference_mul(a, b):
+    """Product on exponent tuples: exponents add, coefficients collect."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_add_scaled(acc, b, s):
+    keys = set(acc) | set(b)
+    out = {e: acc.get(e, 0) + s * b.get(e, 0) for e in keys}
+    return {e: c for e, c in out.items() if c}
+
+
+def test_poly_mul_matches_reference():
     rng = random.Random(31)
     for _ in range(200):
         a = random_poly(rng, rng.randint(0, 12))
         b = random_poly(rng, rng.randint(0, 12))
-        results = [k.poly_mul(dict(a), dict(b)) for k in BACKENDS]
-        assert all(r == results[0] for r in results)
+        assert unpacked(poly_mul(a, b)) == \
+            reference_mul(unpacked(a), unpacked(b))
 
 
 def test_poly_mul_cancellation():
-    # (x - x) * y must come out empty in both backends
+    # (x - x) * y must come out empty
     a = {1: 1}
     am = {1: -1}
     b = {1 << 16: 1}
-    for k in BACKENDS:
-        combined = dict(a)
-        k.poly_add_scaled(combined, am, 1)
-        assert k.poly_mul(combined, b) == {}
-        assert k.poly_mul({}, b) == {}
+    combined = dict(a)
+    poly_add_scaled(combined, am, 1)
+    assert poly_mul(combined, b) == {}
+    assert poly_mul({}, b) == {}
 
 
-def test_poly_add_scaled_backends_agree():
+def test_poly_add_scaled_matches_reference():
     rng = random.Random(32)
     for _ in range(200):
-        acc0 = random_poly(rng, rng.randint(0, 10))
+        acc = random_poly(rng, rng.randint(0, 10))
         b = random_poly(rng, rng.randint(0, 10))
         s = rng.randint(-4, 4)
-        results = [k.poly_add_scaled(dict(acc0), b, s) for k in BACKENDS]
-        assert all(r == results[0] for r in results)
-
-
-def test_bareiss_rank_backends_agree():
-    rng = random.Random(33)
-    for _ in range(200):
-        nr, nc = rng.randint(0, 7), rng.randint(1, 7)
-        rows = [[rng.randint(-8, 8) for _ in range(nc)] for _ in range(nr)]
-        ranks = [k.bareiss_rank([r[:] for r in rows]) for k in BACKENDS]
-        assert all(r == ranks[0] for r in ranks)
+        expected = reference_add_scaled(unpacked(acc), unpacked(b), s)
+        assert unpacked(poly_add_scaled(acc, b, s)) == expected
 
 
 def test_bareiss_rank_big_integers():
     rows = [[10 ** 30, 1], [10 ** 30, 1], [0, 10 ** 40]]
-    for k in BACKENDS:
-        assert k.bareiss_rank(rows) == 2
-
-
-@pytest.mark.skipif(_kernels_cy is None, reason="extension not built")
-def test_compiled_backend_is_active_by_default():
-    import os
-
-    if os.environ.get("DPINV_PURE"):
-        pytest.skip("pure backend forced via environment")
-    from dpinv.backend import backend_name
-
-    assert backend_name() == "cython"
+    assert bareiss_rank(rows) == 2

@@ -96,6 +96,24 @@ def test_thm_222_strict_z():
     assert e.torsion is not None and all(t == 1 for t in e.torsion)
 
 
+def test_spot_check_evaluates_pi_images(monkeypatch):
+    # a pairing sending x^(1) to the entry x[x][1][1] instead of tr X keeps
+    # every rank, so only conjugating the pi images can catch it; the span
+    # is frozen because it is built from the same pi_monomial
+    inv = MatrixInvariants.get(AB, 2)
+    span = inv.invariant_span((1, 0))
+    entry = inv.ring.var(inv.ring.x_index(0, 1, 1))
+    genuine = MatrixInvariants.pi_monomial
+    monkeypatch.setattr(MatrixInvariants, "invariant_span",
+                        lambda self, d: span)
+    monkeypatch.setattr(
+        MatrixInvariants, "pi_monomial",
+        lambda self, m: entry if m == DPMonomial.single(X) else genuine(self, m))
+    e = verify_thm_2_2_2_cell(2, (1, 0), AB, seed=0)
+    assert (e.lhs_rank, e.rhs_rank, e.kernel_rank) == (1, 1, 0)
+    assert not e.passed
+
+
 def test_thm_222_spec_rank_examples():
     e = verify_thm_2_2_2_cell(2, (2, 0), AB)
     assert (e.lhs_rank, e.rhs_rank) == (2, 2)
