@@ -1,18 +1,27 @@
 """Generic matrices, characteristic coefficients and the invariant pairing.
 
-Commutative polynomials live in a ring with the auxiliary determinant
-parameters t_0, t_1, ... first and the matrix-entry variables x[s][i][j]
-after them, ordered by (letter, row, column).  A monomial is packed into a
-single int with a fixed-width bit field per variable, so monomial products
-are plain integer additions; the widths are generous for desk scale.
+Commutative polynomials live in a ring whose variables are the
+matrix-entry variables x[s][i][j], ordered by (letter, row, column).  A
+monomial is packed into a single int with a fixed-width bit field per
+variable, so monomial products are plain integer additions; the widths are
+generous for desk scale.
 
-The map from divided-power monomials to invariants reads a coefficient of
-the parametric determinant det(t_0 I + sum_k t_k M_k): that single
-polynomial is computed once per word tuple and every exponent pattern is
-extracted from it.
+The pairing sends prod_k w_k^(a_k) to the coefficient of
+t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I + sum_k t_k M_k), M_k the
+generic-matrix image of w_k.  No t parameters are ever introduced: the
+determinant is linear in each row, so that coefficient is
+
+    sum over T in {1..n} with |T| = |a|,
+        sum over the distinct maps L: T -> {k} taking each k a_k times,
+            det[ M_L(i)[i][j] ]_{i, j in T},
+
+a sum of small mixed principal minors.  Like the Berkowitz routine below
+it divides nowhere, so it holds over the integers.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, permutations
 
 from .backend import poly_add_scaled, poly_mul
 from .freering import Alphabet, FreePoly, Word, enumerate_necklaces, enumerate_words
@@ -23,17 +32,16 @@ _MASK = (1 << _WIDTH) - 1
 
 
 class PolyRing:
-    """Variable context: naux determinant parameters then the x[s][i][j]."""
+    """Variable context: the entry variables x[s][i][j] of every letter."""
 
     _cache: dict[tuple, "PolyRing"] = {}
 
-    __slots__ = ("alphabet", "n", "naux", "names", "nvars")
+    __slots__ = ("alphabet", "n", "names", "nvars")
 
-    def __init__(self, alphabet: Alphabet, n: int, naux: int = 0):
+    def __init__(self, alphabet: Alphabet, n: int):
         self.alphabet = alphabet
         self.n = n
-        self.naux = naux
-        names = [f"t{k}" for k in range(naux)]
+        names = []
         for s in alphabet.names:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -42,16 +50,16 @@ class PolyRing:
         self.nvars = len(names)
 
     @classmethod
-    def get(cls, alphabet: Alphabet, n: int, naux: int = 0) -> "PolyRing":
-        key = (alphabet.names, n, naux)
+    def get(cls, alphabet: Alphabet, n: int) -> "PolyRing":
+        key = (alphabet.names, n)
         ring = cls._cache.get(key)
         if ring is None:
-            ring = cls._cache[key] = cls(alphabet, n, naux)
+            ring = cls._cache[key] = cls(alphabet, n)
         return ring
 
     def x_index(self, s: int, i: int, j: int) -> int:
         """Variable index of x[letter s][i][j]; i, j are 1-based."""
-        return self.naux + s * self.n * self.n + (i - 1) * self.n + (j - 1)
+        return s * self.n * self.n + (i - 1) * self.n + (j - 1)
 
     def pack(self, exps) -> int:
         key = 0
@@ -72,20 +80,12 @@ class PolyRing:
     def var(self, idx: int) -> "CommPoly":
         return CommPoly(self, {1 << (_WIDTH * idx): 1})
 
-    def aux_split(self, key: int) -> tuple[int, int]:
-        """Split a packed key into (aux part, x part re-based to naux=0)."""
-        cut = _WIDTH * self.naux
-        return key & ((1 << cut) - 1), key >> cut
-
-    def x_ring(self) -> "PolyRing":
-        return PolyRing.get(self.alphabet, self.n, 0)
-
     def grevlex_key(self, key: int):
         exps = self.unpack(key)
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
     def __repr__(self) -> str:
-        return f"PolyRing(letters={''.join(self.alphabet.names)}, n={self.n}, naux={self.naux})"
+        return f"PolyRing(letters={''.join(self.alphabet.names)}, n={self.n})"
 
 
 class CommPoly:
@@ -367,7 +367,7 @@ def det_cofactor(rows):
 
 
 class MatrixInvariants:
-    """Caches for one (alphabet, n): generic matrices, determinants, pi."""
+    """Caches for one (alphabet, n): word matrices and pi images."""
 
     _instances: dict[tuple, "MatrixInvariants"] = {}
 
@@ -376,9 +376,8 @@ class MatrixInvariants:
             raise ValueError("matrix order must be at least 1")
         self.alphabet = alphabet
         self.n = n
-        self.ring = PolyRing.get(alphabet, n, 0)
+        self.ring = PolyRing.get(alphabet, n)
         self._word_mats: dict[Word, MatrixPoly] = {}
-        self._dets: dict[tuple, CommPoly] = {}
         self._pi: dict[DPMonomial, CommPoly] = {}
 
     @classmethod
@@ -422,36 +421,13 @@ class MatrixInvariants:
             acc = acc + self.word_matrix(w) * c
         return acc
 
-    def _parametric_det(self, mats) -> tuple[CommPoly, PolyRing]:
-        """det(t_0 I + sum_k t_{k+1} mats[k]) in the matching aux ring."""
-        naux = len(mats) + 1
-        aux_ring = PolyRing.get(self.alphabet, self.n, naux)
-        shift = _WIDTH * naux
-        b = MatrixPoly.identity(aux_ring, self.n) * aux_ring.var(0)
-        for k, mk in enumerate(mats):
-            lifted = MatrixPoly(aux_ring,
-                                [[CommPoly(aux_ring,
-                                           {key << shift: c
-                                            for key, c in p.terms.items()})
-                                  for p in row] for row in mk.entries])
-            b = b + lifted * aux_ring.var(k + 1)
-        return det_cofactor(b.entries), aux_ring
-
-    def _multidet(self, words: tuple[Word, ...]) -> CommPoly:
-        """The parametric determinant of a word tuple, cached."""
-        det = self._dets.get(words)
-        if det is None:
-            det, _ = self._parametric_det([self.word_matrix(w)
-                                           for w in words])
-            self._dets[words] = det
-        return det
-
     def multidet_coeff(self, mats, exponents) -> CommPoly:
         """Coefficient of t_0^(n-|alpha|) prod_k t_k^(alpha_k) in the
-        parametric determinant of the given matrices.
+        parametric determinant det(t_0 I + sum_k t_k mats[k]).
 
-        Exponent patterns of total weight above n extract zero (the
-        determinant is homogeneous of degree n in the parameters).
+        It is read as a sum of mixed principal minors (see the module
+        docstring); each distinct labelling of a row set is summed once.
+        Weights above n give zero (the determinant has degree n in the t).
         """
         exponents = tuple(exponents)
         if len(mats) != len(exponents):
@@ -459,37 +435,25 @@ class MatrixInvariants:
         if any(m.ring is not self.ring for m in mats):
             raise ValueError("matrices must live in this context's ring")
         weight = sum(exponents)
-        if weight > self.n:
-            return CommPoly.zero(self.ring)
-        det, aux_ring = self._parametric_det(mats)
-        return self._extract(det, aux_ring,
-                             (self.n - weight,) + exponents)
-
-    def _extract(self, det: CommPoly, aux_ring: PolyRing,
-                 aux_exps: tuple[int, ...]) -> CommPoly:
-        target = aux_ring.pack(aux_exps + (0,) * (aux_ring.nvars - len(aux_exps)))
-        out: dict[int, int] = {}
-        for key, c in det.terms.items():
-            aux, xpart = aux_ring.aux_split(key)
-            if aux == target:
-                out[xpart] = c
-        return CommPoly(self.ring, out)
+        if not 0 < weight <= self.n:
+            return CommPoly.const(self.ring, 1 if weight == 0 else 0)
+        labels = [k for k, e in enumerate(exponents) for _ in range(e)]
+        labellings = sorted(set(permutations(labels)))
+        acc: dict[int, int] = {}
+        for subset in combinations(range(self.n), weight):
+            for labelling in labellings:
+                minor = [[mats[k].entries[i][j] for j in subset]
+                         for k, i in zip(labelling, subset)]
+                poly_add_scaled(acc, det_cofactor(minor).terms, 1)
+        return CommPoly(self.ring, acc)
 
     def pi_monomial(self, m: DPMonomial) -> CommPoly:
         """Image of a standard-basis monomial under the invariant pairing."""
-        cached = self._pi.get(m)
-        if cached is not None:
-            return cached
-        weight = m.weight
-        if weight > self.n:
-            res = CommPoly.zero(self.ring)
-        else:
-            words = tuple(w for w, _ in m.factors)
-            exps = tuple(e for _, e in m.factors)
-            det = self._multidet(words)
-            aux_ring = PolyRing.get(self.alphabet, self.n, len(words) + 1)
-            res = self._extract(det, aux_ring, (self.n - weight,) + exps)
-        self._pi[m] = res
+        res = self._pi.get(m)
+        if res is None:
+            res = self._pi[m] = self.multidet_coeff(
+                [self.word_matrix(w) for w, _ in m.factors],
+                [e for _, e in m.factors])
         return res
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:

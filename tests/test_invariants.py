@@ -132,6 +132,18 @@ def test_multidet_coeff_edge_cases():
         assert ctx.multidet_coeff([zx], (i,)) == charpoly_coeffs(zx)[i]
 
 
+def test_e_poly_matches_berkowitz_charpoly():
+    # Berkowitz never sums minors, so it checks the minor sum independently;
+    # xx and the higher e_i give labellings with a repeated label
+    for n in (1, 2, 3, 4):
+        ctx = inv(n)
+        for w in (X, XX, word_from_str("xy", AB)):
+            es = charpoly_coeffs(ctx.word_matrix(w))
+            assert ctx.e_poly(w, 0) == CommPoly.const(ctx.ring, es[0])
+            for i in range(1, n + 1):
+                assert ctx.e_poly(w, i) == es[i], (n, w, i)
+
+
 def test_multidet_polarization_2x2():
     # coefficient of t1 t2 in det(t0 + t1 X + t2 Y) is tr X tr Y - tr(XY)
     ctx = inv(2)

@@ -68,6 +68,15 @@ def test_thm_222_small_all_pass():
         assert entry.passed and entry.lhs_rank == 1
 
 
+def test_thm_222_frontier_n4_degree4():
+    # degree 4 is the first where weight-4 monomials, and so full 4x4
+    # mixed minors, enter the pairing at n=4
+    entries = verify_thm_2_2_2(4, 4, AB)
+    assert len(entries) == 15
+    for entry in entries:
+        assert entry.passed and entry.lhs_rank == entry.rhs_rank, entry
+
+
 def test_invariant_ranks_match_classical_2x2_description():
     # the invariant ring of two generic 2x2 matrices is free on
     # tr X, tr Y, det X, det Y, tr XY; count its monomials per multidegree
