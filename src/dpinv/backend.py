@@ -1,4 +1,5 @@
-"""Kernels for the hot inner loops: sparse term merging and exact rank.
+"""Kernels for the hot inner loops: sparse term merging, unit-pivot
+elimination and exact rank.
 
 Sparse polynomials are dicts mapping a packed monomial key (a non-negative
 int whose fixed-width bit fields hold the exponents) to a nonzero int
@@ -10,6 +11,10 @@ and ``backend_name()`` because the benchmark harness traces
 ``dpinv.backend.poly_mul`` and ``dpinv.backend.bareiss_rank`` and records
 the backend name with every sample.
 """
+
+import heapq
+from itertools import compress, count, repeat
+from operator import contains
 
 
 def backend_name() -> str:
@@ -49,12 +54,110 @@ def poly_add_scaled(acc, b, s):
     return acc
 
 
-def bareiss_rank(rows):
-    """Rank over Q of an integer matrix (list of equal-length int lists).
+def unit_pivot_reduce(rows):
+    """Split off the unit pivots of an integer matrix by sparse elimination.
 
-    Fraction-free Bareiss elimination: every intermediate entry is a minor
-    of the input, and the division by the previous pivot is exact.
+    Returns ``(units, rest, ncols)`` such that the matrix is equivalent over
+    Z to ``I_units`` (+) ``rest``, where ``rest`` is a dense matrix on its
+    ``ncols`` nonzero columns with no entry +-1.  Rank and every nonzero
+    elementary divisor are therefore those of ``rest`` plus ``units`` ones.
+
+    Rows are kept as sparse ``{col: value}`` dicts.  Each step takes the
+    shortest row holding a +-1, in the column of fewest rows, clears that
+    column from every other row by integer row operations and removes the
+    pivot row, which ``Smith(M) = [1] (+) Smith(M')`` allows once its column
+    is otherwise zero.  Zero rows and exact copies of a live row are dropped
+    as they appear.  Nothing is ever divided.
     """
+    live = {}      # row id -> {col: nonzero value}
+    buckets = {}   # hash of a row's items -> ids of live rows with that hash
+    hashes = {}    # row id -> its bucket
+    nrows_in = {}  # col -> number of live rows that are nonzero there
+    heap = []      # (length, row id) of rows that hold a +-1 entry
+
+    def has_unit(r):
+        vals = r.values()
+        return 1 in vals or -1 in vals
+
+    def admit(i, r):
+        """Make r live as row i unless it is zero or a copy of a live row."""
+        if not r:
+            return False
+        h = hash(frozenset(r.items()))
+        bucket = buckets.setdefault(h, [])
+        if any(live[j] == r for j in bucket):
+            return False
+        bucket.append(i)
+        hashes[i] = h
+        live[i] = r
+        return True
+
+    def drop(i):
+        buckets[hashes.pop(i)].remove(i)
+        return live.pop(i)
+
+    def uncount(r):
+        for k in r:
+            nrows_in[k] -= 1
+
+    for i, row in enumerate(rows):
+        r = dict(zip(compress(count(), row), filter(None, row)))
+        if admit(i, r):
+            for k in r:
+                nrows_in[k] = nrows_in.get(k, 0) + 1
+            if has_unit(r):
+                heap.append((len(r), i))
+    heapq.heapify(heap)
+
+    units = 0
+    while heap:
+        length, i = heapq.heappop(heap)
+        top = live.get(i)
+        if top is None or len(top) != length:
+            continue            # stale entry: the row was changed or dropped
+        c, fewest = None, len(live) + 1
+        for k, v in top.items():
+            if (v == 1 or v == -1) and nrows_in[k] < fewest:
+                c, fewest = k, nrows_in[k]
+        if c is None:
+            continue
+        s = top[c]
+        uncount(drop(i))
+        units += 1
+        in_c = map(contains, live.values(), repeat(c))
+        for j in list(compress(live.keys(), in_c)):   # live rows nonzero at c
+            r = drop(j)
+            f = r[c] * s
+            for k, v in top.items():
+                x = r.get(k, 0) - f * v
+                if x:
+                    if k not in r:
+                        nrows_in[k] += 1
+                    r[k] = x
+                else:
+                    del r[k]
+                    nrows_in[k] -= 1
+            if not admit(j, r):
+                uncount(r)
+            elif has_unit(r):
+                heapq.heappush(heap, (len(r), j))
+
+    used = sorted({k for r in live.values() for k in r})
+    rest = [[r.get(k, 0) for k in used] for r in live.values()]
+    return units, rest, len(used)
+
+
+def bareiss_rank(rows):
+    """Rank over Q of an integer matrix (list of equal-length int lists):
+    the unit pivots of ``unit_pivot_reduce``, then Bareiss on the rest."""
+    units, rest, _ = unit_pivot_reduce(rows)
+    return units + dense_bareiss_rank(rest)
+
+
+def dense_bareiss_rank(rows):
+    """Rank over Q of a dense integer matrix by fraction-free Bareiss
+    elimination: every intermediate entry is a minor of the input, and the
+    division by the previous pivot is exact."""
     m = [list(r) for r in rows]
     nrows = len(m)
     if nrows == 0:

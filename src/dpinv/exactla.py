@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the integers, and span membership over Q.
+"""Exact linear algebra over the integers, and span membership over Q.
 
-Ranks use fraction-free Bareiss elimination (Bareiss 1968, Math. Comp. 22)
-on integer matrices; Smith normal form and span membership are plain
-desk-scale implementations, good for the few-hundred-column matrices the
-graded checks produce.
+Rank and Smith normal form first split off the unit pivots of a matrix by
+sparse integer row elimination (``backend.unit_pivot_reduce``), which on the
+relation and pairing matrices of the graded checks usually leaves nothing.
+Whatever remains is handled densely: rank by fraction-free Bareiss
+elimination (Bareiss 1968, Math. Comp. 22), the Smith form by repeated gcd
+reduction.  Span membership is plain Gaussian elimination over Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .backend import bareiss_rank
+from .backend import bareiss_rank, unit_pivot_reduce
 
 
 class ExactMatrix:
@@ -50,7 +52,7 @@ class ExactMatrix:
 
     def smith_normal_form(self) -> list[int]:
         """Nonzero elementary divisors d_1 | d_2 | ..., all positive."""
-        return smith_divisors(self.rows, self.ncols)
+        return smith_divisors(self.rows)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
@@ -60,11 +62,12 @@ def rank_of_rows(rows) -> int:
     return ExactMatrix(rows).rank()
 
 
-def smith_divisors(m: list[list[int]], ncols: int) -> list[int]:
-    """Elementary divisors of an integer matrix by repeated gcd reduction."""
-    m = [list(r) for r in m]
+def smith_divisors(rows: list[list[int]]) -> list[int]:
+    """Elementary divisors of an integer matrix: the unit pivots of
+    ``unit_pivot_reduce``, then repeated gcd reduction of the rest."""
+    units, m, ncols = unit_pivot_reduce(rows)
     nrows = len(m)
-    divisors: list[int] = []
+    divisors = [1] * units
     t = 0
     while t < nrows and t < ncols:
         pi = pj = -1
@@ -83,6 +86,8 @@ def smith_divisors(m: list[list[int]], ncols: int) -> list[int]:
         while True:
             _clear_cross(m, t, nrows, ncols)
             p = abs(m[t][t])
+            if p == 1:
+                break           # a unit divides every entry
             bad = -1
             for i in range(t + 1, nrows):
                 if any(m[i][j] % p for j in range(t + 1, ncols)):

@@ -237,7 +237,7 @@ def _interior_matrices(rowsums: tuple[int, ...], colsums: tuple[int, ...]
     yield from fill(0, list(colsums), [])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 16)
 def tau_monomials(u: DPMonomial, v: DPMonomial) -> GammaElement:
     """tau product of two basis monomials in the limit ring.
 
@@ -414,12 +414,19 @@ def enumerate_dp_monomials(d: tuple[int, ...],
 
     With ``max_weight=n`` this is the level-n basis slice; without it, the
     limit-ring slice (finite anyway, since every word has length >= 1).
+    Slices are memoized; every call returns a fresh list.
     """
+    return list(_dp_monomial_slice(tuple(d), max_weight))
+
+
+@functools.lru_cache(maxsize=1024)
+def _dp_monomial_slice(d: tuple[int, ...],
+                       max_weight: int | None) -> tuple[DPMonomial, ...]:
     from .freering import enumerate_words
 
     nletters = len(d)
     if all(x == 0 for x in d):
-        return [DPMonomial.one()]
+        return (DPMonomial.one(),)
     words = [w for w in enumerate_words(nletters, max_multidegree=d)]
     degs = [w.multidegree(nletters) for w in words]
     out: list[DPMonomial] = []
@@ -447,7 +454,7 @@ def enumerate_dp_monomials(d: tuple[int, ...],
 
     rec(0, d, max_weight, [])
     out.sort(key=DPMonomial.sort_key)
-    return out
+    return tuple(out)
 
 
 def format_gamma(g: GammaElement, alphabet: Alphabet) -> str:

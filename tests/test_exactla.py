@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from dpinv.backend import unit_pivot_reduce
 from dpinv.exactla import ExactMatrix, in_span, rank_of_rows
 
 
@@ -100,6 +101,42 @@ def test_smith_divisibility_chain_and_det():
             assert prod(d) == det
         else:
             assert len(d) < n
+
+
+def test_unit_pivot_reduce_splits_off_units():
+    # clearing column 0 with the unit leaves 4 - 3*2 in column 1
+    assert unit_pivot_reduce([[1, 2], [3, 4]]) == (1, [[-2]], 1)
+    # without a unit entry only zero rows, copies and zero columns go
+    assert unit_pivot_reduce([[2, 0, 4], [0, 0, 0], [2, 0, 4], [6, 0, 8]]) \
+        == (0, [[2, 4], [6, 8]], 2)
+    assert unit_pivot_reduce([]) == (0, [], 0)
+
+
+def test_rank_and_smith_without_unit_entries():
+    # entries in {0, +-2, +-3, +-6}: the sparse pass finds no pivot, so the
+    # dense Bareiss and gcd loops do all the work
+    cases = [
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[2, 4], [6, 8]], [2, 4]),
+        ([[2, 3], [3, -2]], [1, 13]),
+        ([[6, 6], [0, 0], [6, 6], [2, -2]], [2, 12]),
+        ([[2, -6, 6], [3, -6, 0], [-2, 6, -6]], [1, 6]),
+        ([[2, 0, 6], [3, 0, 9]], [1]),
+        ([[0, 0], [0, 0]], []),
+    ]
+    for rows, divisors in cases:
+        m = ExactMatrix(rows)
+        assert m.smith_normal_form() == divisors, rows
+        assert m.rank() == len(divisors) == fraction_gauss_rank(rows), rows
+
+
+def test_smith_with_units_and_torsion_left_over():
+    # the unit pivot clears row 1 to (0, -2, 0); the rest is diag(-2, 4)
+    assert ExactMatrix([[1, 1, 0], [1, -1, 0], [0, 0, 4]]) \
+        .smith_normal_form() == [1, 2, 4]
+    # a unimodular change of rows and columns keeps the divisors
+    assert ExactMatrix([[2, 0, 0], [0, 6, 0], [1, 0, 1]]) \
+        .smith_normal_form() == [1, 2, 6]
 
 
 def test_in_span_examples():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dpinv import gamma
 from dpinv.freering import Alphabet, FreePoly, Word, word_from_str
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
                          dp_expand, dp_mul, dp_product, enumerate_dp_monomials,
@@ -241,6 +242,17 @@ def test_enumerate_dp_monomials():
     assert [m.to_str(AB) for m in got1] == ["xx^(1)"]
     # multidegree (1,1): xy^(1), yx^(1), x^(1)y^(1)
     assert len(enumerate_dp_monomials((1, 1))) == 3
+
+
+def test_basis_memo_is_bounded_and_hands_out_copies():
+    assert gamma._dp_monomial_slice.cache_info().maxsize is not None
+    assert gamma.tau_monomials.cache_info().maxsize is not None
+    first = enumerate_dp_monomials((2, 1), 2)
+    expected = list(first)
+    first.pop()
+    first.append(DPMonomial.one())
+    assert enumerate_dp_monomials((2, 1), 2) == expected
+    assert enumerate_dp_monomials([2, 1], max_weight=2) == expected
 
 
 def test_parse_format_roundtrip():

@@ -1,5 +1,6 @@
 import itertools
 
+from dpinv.backend import dense_bareiss_rank
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import DPMonomial, GammaElement, enumerate_dp_monomials
 from dpinv.invariants import MatrixInvariants
@@ -97,6 +98,17 @@ def test_invariant_ranks_match_classical_2x2_description():
         assert entry.passed
         assert entry.rhs_rank == free_count(*d), d
         assert entry.lhs_rank == free_count(*d), d
+
+
+def test_sparse_rank_matches_dense_on_relation_matrices():
+    # the unit-pivot pass must keep the rank of every relation matrix the
+    # 2.2.2 cells build, and the Smith form has rank-many divisors
+    for n in (1, 2, 3):
+        for d in multidegrees(2, 4):
+            _, rel = abelianized_piece(n, d)
+            rank = rel.rank()
+            assert rank == dense_bareiss_rank(rel.rows), (n, d)
+            assert len(rel.smith_normal_form()) == rank, (n, d)
 
 
 def test_thm_222_strict_z():
