@@ -12,16 +12,19 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .backend import poly_add_scaled
 from .freering import Alphabet, ParseError, parse_freepoly
 from .gamma import ContextError, format_gamma, parse_gamma, tau
 from .invariants import MatrixInvariants
 from .symfunc import SymPoly, format_sympoly, m_to_e, parse_sympoly
-from .theorems import (VerifyEntry, verify_cayley_hamilton, verify_plethysm,
-                       verify_sigma_homomorphism, verify_tau_ring_axioms,
-                       verify_thm_2_2_2_cell, verify_zubkov_kernel)
+from .theorems import (VerifyEntry, multidegrees, verify_cayley_hamilton,
+                       verify_plethysm_cell, verify_sigma_homomorphism,
+                       verify_tau_ring_axioms, verify_thm_2_2_2_cell,
+                       verify_zubkov_kernel)
 from .universal import build_An, load_presentation
 
 THEOREMS = ("2.2.2", "ch", "plethysm", "zubkov", "tau-axioms")
@@ -64,72 +67,50 @@ def _plethysm_elements(alphabet: Alphabet) -> list[str]:
     return [a, f"{a}*{a}"]
 
 
-def _build_jobs(cfg: dict) -> list[tuple]:
-    """One picklable tuple per independent verification cell."""
-    from .theorems import multidegrees
-
-    jobs: list[tuple] = []
+def _build_jobs(cfg: dict) -> list[partial]:
+    """One picklable call per independent verification cell; each returns
+    the cell's VerifyEntry."""
     if cfg["maxdeg"] <= 0:
-        return jobs
-    letters = cfg["letters"]
-    alphabet = Alphabet(letters)
+        return []
+    alphabet = Alphabet(cfg["letters"])
+    levels = cfg["n"]
+    maxdeg = cfg["maxdeg"]
     thms = cfg["theorems"]
+    jobs: list[partial] = []
     if "2.2.2" in thms:
-        for n in cfg["n"]:
-            for d in multidegrees(len(alphabet), cfg["maxdeg"]):
-                jobs.append(("222", letters, n, d, cfg["strict_z"],
-                             cfg["seed"], cfg["timing"]))
+        jobs += [partial(verify_thm_2_2_2_cell, n, d, alphabet,
+                         cfg["strict_z"], cfg["seed"])
+                 for n in levels
+                 for d in multidegrees(len(alphabet), maxdeg)]
     if "ch" in thms:
-        for n in cfg["n"]:
-            for f_text in _ch_elements(alphabet):
-                jobs.append(("ch", letters, n, f_text, cfg["timing"]))
+        elements = [parse_freepoly(t, alphabet)
+                    for t in _ch_elements(alphabet)]
+        jobs += [partial(verify_cayley_hamilton, f, n, alphabet)
+                 for n in levels for f in elements]
     if "plethysm" in thms:
-        for n in cfg["n"]:
-            for i in (1, 2):
-                for a_text in _plethysm_elements(alphabet):
-                    jobs.append(("plethysm", letters, n, i, a_text,
-                                 cfg["timing"]))
+        elements = [parse_freepoly(t, alphabet)
+                    for t in _plethysm_elements(alphabet)]
+        jobs += [partial(verify_plethysm_cell, a, n, i, alphabet)
+                 for n in levels for i in (1, 2) for a in elements]
     if "zubkov" in thms:
         # run on the one-letter subalphabet; the word-generator family is
         # degreewise complete there
-        for n in cfg["n"]:
-            for t in range(1, cfg["maxdeg"] + 1):
-                jobs.append(("zubkov", letters[0], n, t, cfg["timing"]))
+        first = Alphabet(cfg["letters"][0])
+        jobs += [partial(verify_zubkov_kernel, n, (t,), first)
+                 for n in levels for t in range(1, maxdeg + 1)]
     if "tau-axioms" in thms:
-        jobs.append(("tau-limit", letters, cfg["maxdeg"], cfg["timing"]))
-        for n in cfg["n"]:
-            jobs.append(("tau-sigma", letters, cfg["maxdeg"], n,
-                         cfg["timing"]))
+        jobs.append(partial(verify_tau_ring_axioms, maxdeg, alphabet))
+        jobs += [partial(verify_sigma_homomorphism, maxdeg, alphabet, n)
+                 for n in levels]
     return jobs
 
 
-def _run_job(job: tuple) -> VerifyEntry:
-    kind = job[0]
-    if kind == "222":
-        _, letters, n, d, strict, seed, timing = job
-        return verify_thm_2_2_2_cell(n, tuple(d), Alphabet(letters),
-                                     strict, seed, timing)
-    if kind == "ch":
-        _, letters, n, f_text, timing = job
-        alphabet = Alphabet(letters)
-        return verify_cayley_hamilton(parse_freepoly(f_text, alphabet), n,
-                                      alphabet, timing)
-    if kind == "plethysm":
-        _, letters, n, i, a_text, timing = job
-        alphabet = Alphabet(letters)
-        return verify_plethysm([n], [i],
-                               [parse_freepoly(a_text, alphabet)],
-                               alphabet, timing)[0]
-    if kind == "zubkov":
-        _, letter, n, t, timing = job
-        return verify_zubkov_kernel(n, (t,), Alphabet(letter), timing)
-    if kind == "tau-limit":
-        _, letters, maxdeg, timing = job
-        return verify_tau_ring_axioms(maxdeg, Alphabet(letters), timing)
-    if kind == "tau-sigma":
-        _, letters, maxdeg, n, timing = job
-        return verify_sigma_homomorphism(maxdeg, Alphabet(letters), n, timing)
-    raise ValueError(f"unknown job kind {kind!r}")
+def _run_job(job: partial) -> VerifyEntry:
+    """Run one cell; its wall time is taken here and nowhere else."""
+    t0 = time.perf_counter()
+    entry = job()
+    entry.millis = int((time.perf_counter() - t0) * 1000)
+    return entry
 
 
 def run_verify(cfg: dict) -> dict:
@@ -141,6 +122,9 @@ def run_verify(cfg: dict) -> dict:
             entries = list(pool.map(_run_job, jobs))
     else:
         entries = [_run_job(j) for j in jobs]
+    if not cfg["timing"]:
+        for e in entries:
+            e.millis = 0
     entries.sort(key=VerifyEntry.sort_key)
     return {
         "config": {

@@ -315,24 +315,33 @@ class FreePoly:
         return result
 
     def to_str(self, alphabet: Alphabet) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in self.words():
-            c = self.terms[w]
-            body = "*".join(alphabet[a] for a in w)
-            if not body:
-                frag = str(abs(c))
-            elif abs(c) == 1:
-                frag = body
-            else:
-                frag = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + frag)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return format_signed_sum(
+            (self.terms[w], "*".join(alphabet[a] for a in w))
+            for w in self.words())
 
     def __repr__(self) -> str:
         return f"FreePoly({self.terms!r})"
+
+
+def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Print (coefficient, body) pairs in the given order as ``2*a - b + 3``.
+
+    A coefficient of absolute value 1 is left out, an empty body is the
+    constant term, and the empty sum prints as ``0``.
+    """
+    parts = []
+    for c, body in terms:
+        if not body:
+            frag = str(abs(c))
+        elif abs(c) == 1:
+            frag = body
+        else:
+            frag = f"{abs(c)}*{body}"
+        parts.append(("- " if c < 0 else "+ ") + frag)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def parse_freepoly(text: str, alphabet: Alphabet) -> FreePoly:

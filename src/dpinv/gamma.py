@@ -19,7 +19,7 @@ import math
 from typing import Iterable, Iterator
 
 from .backend import poly_add_scaled
-from .freering import Alphabet, FreePoly, ParseError, Word
+from .freering import Alphabet, FreePoly, ParseError, Word, format_signed_sum
 
 
 class ContextError(ValueError):
@@ -459,16 +459,9 @@ def _dp_monomial_slice(d: tuple[int, ...],
 
 def format_gamma(g: GammaElement, alphabet: Alphabet) -> str:
     """Canonical bracket form, e.g. ``[xx^(1)|lim] + 2*[x^(2)|lim]``."""
-    if g.is_zero():
-        return "0"
     ctx = "lim" if g.level is None else f"n={g.level}"
-    parts = []
-    for mono, c in g.sorted_terms():
-        bracket = f"[{mono.to_str(alphabet)}|{ctx}]"
-        frag = bracket if abs(c) == 1 else f"{abs(c)}*{bracket}"
-        parts.append(("- " if c < 0 else "+ ") + frag)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return format_signed_sum((c, f"[{mono.to_str(alphabet)}|{ctx}]")
+                             for mono, c in g.sorted_terms())
 
 
 def parse_gamma(text: str, alphabet: Alphabet) -> GammaElement:

@@ -24,7 +24,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .backend import poly_add_scaled, poly_mul
-from .freering import Alphabet, FreePoly, Word, enumerate_necklaces, enumerate_words
+from .freering import (Alphabet, FreePoly, Word, enumerate_necklaces,
+                       enumerate_words, format_signed_sum)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = 16
@@ -76,6 +77,20 @@ class PolyRing:
             out.append(key & _MASK)
             key >>= _WIDTH
         return tuple(out)
+
+    def monomials_up_to(self, max_deg: int) -> list[int]:
+        """Sorted packed keys of every monomial of total degree <= max_deg."""
+        out: list[int] = []
+
+        def rec(idx: int, rem: int, key: int) -> None:
+            if idx == self.nvars:
+                out.append(key)
+                return
+            for e in range(rem + 1):
+                rec(idx + 1, rem - e, key | (e << (_WIDTH * idx)))
+
+        rec(0, max_deg, 0)
+        return sorted(out)
 
     def var(self, idx: int) -> "CommPoly":
         return CommPoly(self, {1 << (_WIDTH * idx): 1})
@@ -181,9 +196,13 @@ class CommPoly:
         total = 0
         for k, c in self.terms.items():
             term = c
-            for idx, e in enumerate(self.ring.unpack(k)):
+            idx = 0
+            while k:
+                e = k & _MASK
                 if e:
                     term *= values[idx] ** e
+                k >>= _WIDTH
+                idx += 1
             total += term
         return total
 
@@ -195,28 +214,14 @@ class CommPoly:
         return row
 
     def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        parts = []
-        for k in self.sorted_keys():
-            c = self.terms[k]
-            factors = []
-            for idx, e in enumerate(ring.unpack(k)):
-                if e == 1:
-                    factors.append(ring.names[idx])
-                elif e:
-                    factors.append(f"{ring.names[idx]}^{e}")
-            body = "*".join(factors)
-            if not body:
-                frag = str(abs(c))
-            elif abs(c) == 1:
-                frag = body
-            else:
-                frag = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + frag)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        names = self.ring.names
+
+        def body(k: int) -> str:
+            return "*".join(names[idx] if e == 1 else f"{names[idx]}^{e}"
+                            for idx, e in enumerate(self.ring.unpack(k)) if e)
+
+        return format_signed_sum((self.terms[k], body(k))
+                                 for k in self.sorted_keys())
 
     def __repr__(self) -> str:
         return f"CommPoly({self.to_str()})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .backend import poly_add_scaled
-from .freering import FreePoly, ParseError
+from .freering import FreePoly, ParseError, format_signed_sum
 from .gamma import GammaElement, dp_expand, tau
 
 Partition = tuple[int, ...]
@@ -233,11 +233,5 @@ def parse_sympoly(text: str) -> SymPoly:
 def format_sympoly(sym: SymPoly) -> str:
     if not sym.terms:
         return "0"
-    parts = []
-    for p, c in sym.sorted_terms():
-        body = f"{sym.basis}[{','.join(map(str, p))}]"
-        frag = body if abs(c) == 1 else f"{abs(c)}*{body}"
-        parts.append(("- " if c < 0 else "+ ") + frag)
-    text = " ".join(parts)
-    return (text[2:] if text.startswith("+ ") else "-" + text[2:]) \
-        + f"@{sym.nvars}"
+    return format_signed_sum((c, f"{sym.basis}[{','.join(map(str, p))}]")
+                             for p, c in sym.sorted_terms()) + f"@{sym.nvars}"

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 
 from .exactla import ExactMatrix
 from .freering import Alphabet, FreePoly, Word, enumerate_words
 from .gamma import (DPMonomial, GammaElement, dp_expand, enumerate_dp_monomials,
                     merge_factors, rho_n, sigma_n, tau)
-from .invariants import MatrixInvariants, det_cofactor
+from .invariants import MatrixInvariants
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
@@ -33,7 +31,7 @@ class VerifyEntry:
     rhs_rank: int
     kernel_rank: int
     passed: bool
-    millis: int = 0
+    millis: int = 0  # wall time of the whole cell, set by cli._run_job
     torsion: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
@@ -138,16 +136,21 @@ def abelianized_piece(n: int, d: tuple[int, ...]
     return basis, ExactMatrix(rows, len(basis))
 
 
-def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+def _random_unimodular(rng: random.Random, n: int
+                       ) -> tuple[list[list[int]], list[list[int]]]:
+    """A random product of elementary integer matrices and its inverse."""
     g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
     for _ in range(rng.randint(3, 6)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         c = rng.choice((-2, -1, 1, 2))
+        # row j += c * row i on g; the inverse undoes it on the columns
         for k in range(n):
             g[j][k] += c * g[i][k]
-    return g
+            ginv[k][i] -= c * ginv[k][j]
+    return g, ginv
 
 
 def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
@@ -159,46 +162,30 @@ def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
     nletters = len(inv.alphabet)
     mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             for _ in range(nletters)]
-    g = _random_unimodular(rng, n)
-    # inverse of a unimodular integer matrix via adjugate over Fractions
-    det = det_cofactor(g)
-    ginv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [row[:i] + row[i + 1:]
-                   for k, row in enumerate(g) if k != j]
-            ginv[i][j] = Fraction((-1) ** (i + j) * det_cofactor(sub), det)
+    g, ginv = _random_unimodular(rng, n)
 
     def mul(a, b):
         return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
 
-    conj = []
-    for m in mats:
-        c = mul(mul(g, m), ginv)
-        conj.append([[int(x) for x in row] for row in c])
     flat = [a for m in mats for row in m for a in row]
-    flat_c = [a for m in conj for row in m for a in row]
+    flat_c = [a for m in mats for row in mul(mul(g, m), ginv) for a in row]
     return all(p.evaluate(flat) == p.evaluate(flat_c) for p in polys)
 
 
 def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,
-                     strict_z: bool = False, seed: int | None = None,
-                     timing: bool = False) -> list[VerifyEntry]:
+                     strict_z: bool = False, seed: int | None = None
+                     ) -> list[VerifyEntry]:
     """Per multidegree: the abelianized divided-power slice and the
     invariant-ring slice have equal ranks, and the kernel of the pairing on
     the slice is exactly the commutator span."""
-    entries = []
-    for d in multidegrees(len(alphabet), max_total_degree):
-        entries.append(verify_thm_2_2_2_cell(n, d, alphabet, strict_z, seed,
-                                             timing))
-    return entries
+    return [verify_thm_2_2_2_cell(n, d, alphabet, strict_z, seed)
+            for d in multidegrees(len(alphabet), max_total_degree)]
 
 
 def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
-                          strict_z: bool = False, seed: int | None = None,
-                          timing: bool = False) -> VerifyEntry:
-    t0 = time.perf_counter()
+                          strict_z: bool = False, seed: int | None = None
+                          ) -> VerifyEntry:
     inv = MatrixInvariants.get(alphabet, n)
     basis, rel = abelianized_piece(n, d)
     rel_rank = rel.rank()
@@ -230,9 +217,8 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     if seed is not None:
         if not _conjugation_spot_check(inv, pi_polys, d, seed, n):
             passed = False
-    millis = int((time.perf_counter() - t0) * 1000) if timing else 0
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,
-                       passed, millis, torsion)
+                       passed, torsion=torsion)
 
 
 class TauExpr:
@@ -334,50 +320,50 @@ def reduce_to_single_generators(m: DPMonomial,
     return expr
 
 
-def verify_plethysm(n_list, i_list, elements, alphabet: Alphabet,
-                    timing: bool = False) -> list[VerifyEntry]:
+def _scaled_multidegree(f: FreePoly, k: int, alphabet: Alphabet
+                        ) -> tuple[int, ...]:
+    """k times the multidegree of f if f is homogeneous, else ()."""
+    degs = {w.multidegree(len(alphabet)) for w in f.terms}
+    return tuple(k * x for x in next(iter(degs))) if len(degs) == 1 else ()
+
+
+def verify_plethysm_cell(a: FreePoly, n: int, i: int, alphabet: Alphabet
+                         ) -> VerifyEntry:
     """dp_expand(a^n, i) == rho_a(e_i o p_n), exactly in the limit ring."""
-    entries = []
-    for a in elements:
-        for n in n_list:
-            for i in i_list:
-                t0 = time.perf_counter()
-                lhs = dp_expand(a ** n, i)
-                rhs = rho_a_substitute(plethysm_e_p(i, n, n * i), a)
-                degs = {w.multidegree(len(alphabet)) for w in a.terms}
-                d = (tuple(n * i * x for x in next(iter(degs)))
-                     if len(degs) == 1 else ())
-                millis = int((time.perf_counter() - t0) * 1000) if timing else 0
-                entries.append(VerifyEntry("plethysm", n, d, 0, 0, 0,
-                                           lhs == rhs, millis))
-    return entries
+    lhs = dp_expand(a ** n, i)
+    rhs = rho_a_substitute(plethysm_e_p(i, n, n * i), a)
+    return VerifyEntry("plethysm", n, _scaled_multidegree(a, n * i, alphabet),
+                       0, 0, 0, lhs == rhs)
 
 
-def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet,
-                           timing: bool = False) -> VerifyEntry:
+def verify_plethysm(n_list, i_list, elements, alphabet: Alphabet
+                    ) -> list[VerifyEntry]:
+    """verify_plethysm_cell on every (element, n, i)."""
+    return [verify_plethysm_cell(a, n, i, alphabet)
+            for a in elements for n in n_list for i in i_list]
+
+
+def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
+                           ) -> VerifyEntry:
     """chi_n(f) evaluates to the zero matrix under the invariant pairing
     tensored with the generic-matrix evaluation."""
     from .gamma import chi_formal
     from .invariants import MatrixPoly
 
-    t0 = time.perf_counter()
     inv = MatrixInvariants.get(alphabet, n)
     chi = chi_formal(f, n)
     acc = MatrixPoly.identity(inv.ring, n, 0)
     for (mono, w), c in chi.terms.items():
         acc = acc + inv.word_matrix(w) * inv.pi_monomial(mono) * c
-    degs = {w.multidegree(len(alphabet)) for w in f.terms}
-    d = tuple(n * x for x in next(iter(degs))) if len(degs) == 1 else ()
-    millis = int((time.perf_counter() - t0) * 1000) if timing else 0
-    return VerifyEntry("ch", n, d, 0, 0, 0, acc.is_zero(), millis)
+    return VerifyEntry("ch", n, _scaled_multidegree(f, n, alphabet),
+                       0, 0, 0, acc.is_zero())
 
 
-def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet,
-                         timing: bool = False) -> VerifyEntry:
+def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
+                         ) -> VerifyEntry:
     """In the abelianized limit ring at multidegree d, the kernel of the
     level-n projection has the same rank as the ideal piece generated by
     the divided powers f^(k), k > n, of spanning words."""
-    t0 = time.perf_counter()
     basis = enumerate_dp_monomials(d, None)
     index = {m: i for i, m in enumerate(basis)}
     comm = _commutator_rows(d, None, index)
@@ -402,9 +388,8 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet,
                 if not row_el.is_zero():
                     ideal_rows.append(_vec(row_el, index))
     rhs_rank = ExactMatrix(ideal_rows + comm, len(basis)).rank() - comm_rank
-    millis = int((time.perf_counter() - t0) * 1000) if timing else 0
     return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, comm_rank,
-                       lhs_rank == rhs_rank, millis)
+                       lhs_rank == rhs_rank)
 
 
 def _monomials_by_total_degree(max_total: int, alphabet: Alphabet
@@ -419,13 +404,12 @@ def _monomials_by_total_degree(max_total: int, alphabet: Alphabet
     return by_deg
 
 
-def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet,
-                           timing: bool = False) -> VerifyEntry:
+def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
+                           ) -> VerifyEntry:
     """Associativity, identity and gradedness of tau on every ordered
     monomial triple within the total-degree bound, in the limit ring."""
     nletters = len(alphabet)
     by_deg = _monomials_by_total_degree(max_total, alphabet)
-    t0 = time.perf_counter()
     ok = True
     one = GammaElement.one(None)
     for du in range(0, max_total + 1):
@@ -447,16 +431,14 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet,
                             gw = GammaElement.monomial(w)
                             if tau(uv, gw) != tau(gu, tau(gv, gw)):
                                 ok = False
-    millis = int((time.perf_counter() - t0) * 1000) if timing else 0
-    return VerifyEntry("tau-axioms", 0, (), 0, 0, 0, ok, millis)
+    return VerifyEntry("tau-axioms", 0, (), 0, 0, 0, ok)
 
 
-def verify_sigma_homomorphism(max_total: int, alphabet: Alphabet, n: int,
-                              timing: bool = False) -> VerifyEntry:
+def verify_sigma_homomorphism(max_total: int, alphabet: Alphabet, n: int
+                              ) -> VerifyEntry:
     """The level-n projection is a ring map on every monomial pair within
     the bound; the level drop also commutes with the projections."""
     by_deg = _monomials_by_total_degree(max_total, alphabet)
-    t0 = time.perf_counter()
     ok = True
     for du in range(0, max_total + 1):
         for u in by_deg[du]:
@@ -469,15 +451,11 @@ def verify_sigma_homomorphism(max_total: int, alphabet: Alphabet, n: int,
                     gv = GammaElement.monomial(v)
                     if sigma_n(tau(gu, gv), n) != tau(su, sigma_n(gv, n)):
                         ok = False
-    millis = int((time.perf_counter() - t0) * 1000) if timing else 0
-    return VerifyEntry("tau-axioms", n, (), 0, 0, 0, ok, millis)
+    return VerifyEntry("tau-axioms", n, (), 0, 0, 0, ok)
 
 
-def verify_tau_axioms(max_total: int, alphabet: Alphabet, n_list,
-                      timing: bool = False) -> list[VerifyEntry]:
+def verify_tau_axioms(max_total: int, alphabet: Alphabet, n_list
+                      ) -> list[VerifyEntry]:
     """Ring axioms in the limit plus the projection checks for each n."""
-    entries = [verify_tau_ring_axioms(max_total, alphabet, timing)]
-    for n in n_list:
-        entries.append(verify_sigma_homomorphism(max_total, alphabet, n,
-                                                 timing))
-    return entries
+    return [verify_tau_ring_axioms(max_total, alphabet)] + \
+        [verify_sigma_homomorphism(max_total, alphabet, n) for n in n_list]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactla import in_span
 from .freering import Alphabet, FreePoly, parse_freepoly
-from .invariants import _WIDTH, CommPoly, MatrixInvariants, MatrixPoly, PolyRing
+from .invariants import CommPoly, MatrixInvariants, MatrixPoly
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,6 @@ def jnr_image(p: Presentation, n: int, f: FreePoly) -> MatrixPoly:
     return MatrixInvariants.get(p.alphabet, n).jn_eval(f)
 
 
-def _monomials_up_to(ring: PolyRing, max_deg: int) -> list[int]:
-    """Packed keys of every monomial of total degree <= max_deg."""
-    out: list[int] = []
-
-    def rec(idx: int, rem: int, key: int) -> None:
-        if idx == ring.nvars:
-            out.append(key)
-            return
-        for e in range(rem + 1):
-            rec(idx + 1, rem - e, key | (e << (_WIDTH * idx)))
-
-    rec(0, max_deg, 0)
-    return sorted(out)
-
-
 def ideal_piece(gens: list[CommPoly], max_deg: int) -> list[CommPoly]:
     """Spanning set of the ideal slice of total degree <= max_deg:
     monomial multiples of the generators that stay within the bound."""
@@ -101,7 +86,7 @@ def ideal_piece(gens: list[CommPoly], max_deg: int) -> list[CommPoly]:
         dg = g.total_degree()
         if dg > max_deg:
             continue
-        for key in _monomials_up_to(ring, max_deg - dg):
+        for key in ring.monomials_up_to(max_deg - dg):
             out.append(g * CommPoly(ring, {key: 1}))
     return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from dpinv.cli import main
@@ -107,6 +108,32 @@ def test_verify_worker_counts_byte_identical(tmp_path, capsys):
     assert run(capsys, *base, "--workers", "1", "--out", str(a))[0] == 0
     assert run(capsys, *base, "--workers", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_report_bytes_are_pinned(tmp_path, capsys):
+    base = ["verify", "--thm", "all", "--n", "1..3", "--maxdeg", "4",
+            "--seed", "7"]
+    for extra, prefix in (([], "6536b7b582e34640"),
+                          (["--strict-z"], "00e75e580104fbb1")):
+        for workers in ("1", "2"):
+            path = tmp_path / f"report{len(extra)}{workers}.json"
+            assert run(capsys, *base, *extra, "--workers", workers,
+                       "--out", str(path))[0] == 0
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest.startswith(prefix), (extra, workers)
+
+
+def test_verify_timing_records_cell_wall_times(capsys):
+    base = ["verify", "--thm", "2.2.2", "--n", "3", "--maxdeg", "4",
+            "--workers", "1"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert all(e["millis"] == 0 for e in json.loads(out)["entries"])
+    code, out, _ = run(capsys, *base, "--timing")
+    assert code == 0
+    millis = [e["millis"] for e in json.loads(out)["entries"]]
+    assert all(isinstance(m, int) and m >= 0 for m in millis)
+    assert any(m > 0 for m in millis)
 
 
 def test_verify_unknown_theorem(capsys):

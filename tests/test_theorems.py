@@ -1,12 +1,15 @@
 import itertools
+import random
 
 from dpinv.backend import dense_bareiss_rank
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import DPMonomial, GammaElement, enumerate_dp_monomials
 from dpinv.invariants import MatrixInvariants
-from dpinv.theorems import (TauLeaf, TauProduct, TauSum, abelianized_piece,
-                            multidegrees, reduce_to_single_generators,
+from dpinv.theorems import (TauLeaf, TauProduct, TauSum, _random_unimodular,
+                            abelianized_piece, multidegrees,
+                            reduce_to_single_generators,
                             verify_cayley_hamilton, verify_plethysm,
+                            verify_plethysm_cell,
                             verify_sigma_homomorphism, verify_tau_axioms,
                             verify_tau_ring_axioms, verify_thm_2_2_2,
                             verify_thm_2_2_2_cell, verify_zubkov_kernel)
@@ -135,6 +138,17 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
     assert not e.passed
 
 
+def test_random_unimodular_comes_with_its_inverse():
+    for n in range(1, 6):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        for seed in range(300):
+            g, ginv = _random_unimodular(random.Random(seed), n)
+            for a, b in ((g, ginv), (ginv, g)):
+                assert [[sum(a[i][k] * b[k][j] for k in range(n))
+                         for j in range(n)] for i in range(n)] == eye, \
+                    (n, seed)
+
+
 def test_thm_222_spec_rank_examples():
     e = verify_thm_2_2_2_cell(2, (2, 0), AB)
     assert (e.lhs_rank, e.rhs_rank) == (2, 2)
@@ -185,6 +199,11 @@ def test_verify_plethysm():
     # n = 1: substituting first powers is the identity
     trivial = verify_plethysm([1], [1, 2, 3], [fx, fx + FreePoly.letter(1)], AB)
     assert all(e.passed for e in trivial)
+    assert entries == [verify_plethysm_cell(fx, n, i, AB)
+                       for n in (2, 3) for i in (1, 2)]
+    xy = parse_freepoly("x*y", AB)
+    assert verify_plethysm_cell(xy, 2, 2, AB).multidegree == (4, 4)
+    assert verify_plethysm_cell(fx + xy, 2, 1, AB).multidegree == ()
 
 
 def test_verify_cayley_hamilton_spec_cases():
