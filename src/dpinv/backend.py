@@ -3,8 +3,11 @@ elimination and exact rank.
 
 Sparse polynomials are dicts mapping a packed monomial key (a non-negative
 int whose fixed-width bit fields hold the exponents) to a nonzero int
-coefficient.  Packed keys add when monomials multiply, so the field width
-must exceed every exponent sum that can occur; callers guarantee that.
+coefficient.  Packed keys add when monomials multiply.  ``poly_mul`` does
+not look at the fields: ``invariants.PolyRing.checked`` guards every
+product once, raising ``OverflowError`` when an exponent reaches 128, the
+top bit of its 8-bit field.  Exponents below that bound sum to less than
+256, so no product carries into the next field unnoticed.
 
 This is the only implementation of each kernel.  The module keeps its name
 and ``backend_name()`` because the benchmark harness traces

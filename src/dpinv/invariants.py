@@ -2,9 +2,13 @@
 
 Commutative polynomials live in a ring whose variables are the
 matrix-entry variables x[s][i][j], ordered by (letter, row, column).  A
-monomial is packed into a single int with a fixed-width bit field per
-variable, so monomial products are plain integer additions; the widths are
-generous for desk scale.
+monomial is packed into a single int with an 8-bit field per variable, so
+monomial products are plain integer additions.  The top bit of each field
+is a guard: every exponent a ring holds stays below 128 (``_BOUND``).
+``PolyRing.pack`` and ``monomials_up_to`` reject larger exponents, and every
+product checks its result once for a set guard bit and raises
+``OverflowError``.  Two exponents below the bound sum to less than 256, so
+no product can carry into the next field unnoticed.
 
 The pairing sends prod_k w_k^(a_k) to the coefficient of
 t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I + sum_k t_k M_k), M_k the
@@ -21,23 +25,28 @@ it divides nowhere, so it holds over the integers.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
+from operator import mul, or_
 
 from .backend import poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, enumerate_necklaces,
                        enumerate_words, format_signed_sum)
 from .gamma import ContextError, DPMonomial, GammaElement
 
-_WIDTH = 16
+_WIDTH = 8
 _MASK = (1 << _WIDTH) - 1
+_BOUND = 1 << (_WIDTH - 1)  # every exponent stays below its field's guard bit
 
 
 class PolyRing:
-    """Variable context: the entry variables x[s][i][j] of every letter."""
+    """Variable context: the entry variables x[s][i][j] of every letter.
 
-    _cache: dict[tuple, "PolyRing"] = {}
+    Rings with the same letters and matrix order are equal, so polynomials
+    built before and after a context is rebuilt still mix.
+    """
 
-    __slots__ = ("alphabet", "n", "names", "nvars")
+    __slots__ = ("alphabet", "n", "names", "nvars", "guard")
 
     def __init__(self, alphabet: Alphabet, n: int):
         self.alphabet = alphabet
@@ -49,14 +58,22 @@ class PolyRing:
                     names.append(f"x[{s}][{i}][{j}]")
         self.names = tuple(names)
         self.nvars = len(names)
+        self.guard = sum(_BOUND << (_WIDTH * idx) for idx in range(self.nvars))
 
-    @classmethod
-    def get(cls, alphabet: Alphabet, n: int) -> "PolyRing":
-        key = (alphabet.names, n)
-        ring = cls._cache.get(key)
-        if ring is None:
-            ring = cls._cache[key] = cls(alphabet, n)
-        return ring
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, PolyRing)
+                                 and self.n == other.n
+                                 and self.alphabet == other.alphabet)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet.names, self.n))
+
+    def checked(self, terms: dict[int, int]) -> dict[int, int]:
+        """The terms, after checking every exponent is below the bound."""
+        if reduce(or_, terms, 0) & self.guard:
+            raise OverflowError(
+                f"an exponent reached {_BOUND}, the packing's bound")
+        return terms
 
     def x_index(self, s: int, i: int, j: int) -> int:
         """Variable index of x[letter s][i][j]; i, j are 1-based."""
@@ -66,8 +83,12 @@ class PolyRing:
         key = 0
         for idx, e in enumerate(exps):
             if e:
-                if e >= (1 << _WIDTH):
-                    raise OverflowError("exponent too large for the packing")
+                if e < 0:
+                    raise ValueError("negative exponent")
+                if e >= _BOUND:
+                    raise OverflowError(
+                        f"exponent {e} is not below the packing's bound "
+                        f"{_BOUND}")
                 key |= e << (_WIDTH * idx)
         return key
 
@@ -80,6 +101,9 @@ class PolyRing:
 
     def monomials_up_to(self, max_deg: int) -> list[int]:
         """Sorted packed keys of every monomial of total degree <= max_deg."""
+        if max_deg >= _BOUND:
+            raise OverflowError(
+                f"degree {max_deg} is not below the packing's bound {_BOUND}")
         out: list[int] = []
 
         def rec(idx: int, rem: int, key: int) -> None:
@@ -91,6 +115,27 @@ class PolyRing:
 
         rec(0, max_deg, 0)
         return sorted(out)
+
+    def monomial_values(self, keys, values) -> dict[int, int]:
+        """Value at the integer point ``values`` of every given packed key.
+
+        The table starts from {0: 1}; a key's value is that of the key with
+        its highest set field stripped, times the field's variable raised to
+        the field's exponent, so keys sharing fields share the work.
+        """
+        table = {0: 1}
+        for key in keys:
+            chain = []
+            while key not in table:
+                idx = (key.bit_length() - 1) // _WIDTH
+                e = key >> (_WIDTH * idx)
+                chain.append((key, values[idx] ** e))
+                key ^= e << (_WIDTH * idx)
+            v = table[key]
+            for k, factor in reversed(chain):
+                v *= factor
+                table[k] = v
+        return table
 
     def var(self, idx: int) -> "CommPoly":
         return CommPoly(self, {1 << (_WIDTH * idx): 1})
@@ -110,7 +155,8 @@ class CommPoly:
 
     def __init__(self, ring: PolyRing, terms: dict[int, int] | None = None):
         self.ring = ring
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = ring.checked({k: c for k, c in (terms or {}).items()
+                                   if c})
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "CommPoly":
@@ -126,7 +172,7 @@ class CommPoly:
     def _coerce(self, other) -> "CommPoly":
         if isinstance(other, int):
             return CommPoly.const(self.ring, other)
-        if other.ring is not self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("mixed polynomial rings")
         return other
 
@@ -164,11 +210,10 @@ class CommPoly:
             res.terms = {k: c * other for k, c in self.terms.items()} \
                 if other else {}
             return res
-        if other.ring is not self.ring:
-            raise ValueError("mixed polynomial rings")
+        other = self._coerce(other)
         res = CommPoly.__new__(CommPoly)
         res.ring = self.ring
-        res.terms = poly_mul(self.terms, other.terms)
+        res.terms = self.ring.checked(poly_mul(self.terms, other.terms))
         return res
 
     __rmul__ = __mul__
@@ -182,7 +227,7 @@ class CommPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, CommPoly) and self.ring is other.ring
+        return (isinstance(other, CommPoly) and self.ring == other.ring
                 and self.terms == other.terms)
 
     def total_degree(self) -> int:
@@ -193,18 +238,13 @@ class CommPoly:
 
     def evaluate(self, values) -> int:
         """Specialize every variable to the given integers."""
-        total = 0
-        for k, c in self.terms.items():
-            term = c
-            idx = 0
-            while k:
-                e = k & _MASK
-                if e:
-                    term *= values[idx] ** e
-                k >>= _WIDTH
-                idx += 1
-            total += term
-        return total
+        return self.value_in(self.ring.monomial_values(self.terms, values))
+
+    def value_in(self, table: dict[int, int]) -> int:
+        """Value read from a ``PolyRing.monomial_values`` table that holds
+        every key of this polynomial."""
+        return sum(map(mul, self.terms.values(),
+                       map(table.__getitem__, self.terms)))
 
     def coeff_vector(self, columns: dict[int, int], out=None) -> list[int]:
         """Coefficient row over a fixed monomial-to-column map."""
@@ -272,7 +312,7 @@ class MatrixPoly:
                         poly_mul(self.entries[i][k].terms,
                                  other.entries[k][j].terms), 1)
                 p = CommPoly.__new__(CommPoly)
-                p.ring, p.terms = self.ring, acc
+                p.ring, p.terms = self.ring, self.ring.checked(acc)
                 row.append(p)
             rows.append(row)
         return MatrixPoly(self.ring, rows)
@@ -372,26 +412,27 @@ def det_cofactor(rows):
 
 
 class MatrixInvariants:
-    """Caches for one (alphabet, n): word matrices and pi images."""
-
-    _instances: dict[tuple, "MatrixInvariants"] = {}
+    """Caches for one (alphabet, n): word matrices and the e_i images."""
 
     def __init__(self, alphabet: Alphabet, n: int):
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         self.alphabet = alphabet
         self.n = n
-        self.ring = PolyRing.get(alphabet, n)
+        self.ring = PolyRing(alphabet, n)
         self._word_mats: dict[Word, MatrixPoly] = {}
         self._pi: dict[DPMonomial, CommPoly] = {}
 
     @classmethod
+    @lru_cache(maxsize=8)
     def get(cls, alphabet: Alphabet, n: int) -> "MatrixInvariants":
-        key = (alphabet.names, n)
-        inst = cls._instances.get(key)
-        if inst is None:
-            inst = cls._instances[key] = cls(alphabet, n)
-        return inst
+        """The shared context of (alphabet, n).
+
+        At most eight are kept, the least recently used leaving first.  A
+        rebuilt context's ring equals the old one, so polynomials of both
+        still mix.
+        """
+        return cls(alphabet, n)
 
     def generic_matrix(self, s) -> MatrixPoly:
         """The generic matrix of the given letter (name or index)."""
@@ -437,7 +478,7 @@ class MatrixInvariants:
         exponents = tuple(exponents)
         if len(mats) != len(exponents):
             raise ValueError("one exponent per matrix")
-        if any(m.ring is not self.ring for m in mats):
+        if any(m.ring != self.ring for m in mats):
             raise ValueError("matrices must live in this context's ring")
         weight = sum(exponents)
         if not 0 < weight <= self.n:
@@ -453,12 +494,19 @@ class MatrixInvariants:
         return CommPoly(self.ring, acc)
 
     def pi_monomial(self, m: DPMonomial) -> CommPoly:
-        """Image of a standard-basis monomial under the invariant pairing."""
+        """Image of a standard-basis monomial under the invariant pairing.
+
+        Only single-factor images, the e_i of one word, are cached:
+        ``invariant_span`` reuses them in every cell, while a multi-factor
+        image is needed by its own cell only.
+        """
         res = self._pi.get(m)
         if res is None:
-            res = self._pi[m] = self.multidet_coeff(
+            res = self.multidet_coeff(
                 [self.word_matrix(w) for w, _ in m.factors],
                 [e for _, e in m.factors])
+            if len(m.factors) == 1:
+                self._pi[m] = res
         return res
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:

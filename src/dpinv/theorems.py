@@ -155,7 +155,11 @@ def _random_unimodular(rng: random.Random, n: int
 
 def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
     """Specialize the generic matrices randomly and conjugate: none of the
-    given polynomials may move.  Deterministic per (seed, n, d)."""
+    given polynomials may move.  Deterministic per (seed, n, d).
+
+    Each point's monomial values come from one table shared by every
+    polynomial, so a monomial is evaluated once per point.
+    """
     if not polys:
         return True
     rng = random.Random(f"{seed}:{n}:{d}")
@@ -170,7 +174,10 @@ def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
 
     flat = [a for m in mats for row in m for a in row]
     flat_c = [a for m in mats for row in mul(mul(g, m), ginv) for a in row]
-    return all(p.evaluate(flat) == p.evaluate(flat_c) for p in polys)
+    keys = set().union(*(p.terms for p in polys))
+    at = inv.ring.monomial_values(keys, flat)
+    at_c = inv.ring.monomial_values(keys, flat_c)
+    return all(p.value_in(at) == p.value_in(at_c) for p in polys)
 
 
 def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,

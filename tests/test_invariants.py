@@ -8,7 +8,8 @@ from dpinv.exactla import ExactMatrix
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
-from dpinv.invariants import CommPoly, MatrixInvariants, charpoly_coeffs
+from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
+                              charpoly_coeffs)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -310,3 +311,66 @@ def test_pi_agrees_with_numeric_trace_and_det():
         xy = [[sum(mats[0][i][k] * mats[1][k][j] for k in range(2))
                for j in range(2)] for i in range(2)]
         assert p.evaluate(flat) == xy[0][0] + xy[1][1]
+
+
+def test_exponent_overflow_raises():
+    # exponents stay below each 8-bit field's guard bit: a product that
+    # would reach it raises instead of carrying into the next variable
+    ring = inv(2).ring
+    x, y = ring.var(0), ring.var(1)
+    with pytest.raises(OverflowError):
+        x ** 128
+    with pytest.raises(OverflowError):
+        (x ** 64 * y) * (x ** 64 + y)
+    with pytest.raises(OverflowError):
+        MatrixPoly(ring, [[x ** 100]]) * MatrixPoly(ring, [[x ** 28]])
+    with pytest.raises(OverflowError):
+        CommPoly(ring, {ring.pack([127]) + 1: 1})
+
+
+def test_product_just_below_the_bound_stays_exact():
+    ring = inv(2).ring
+    x, y = ring.var(0), ring.var(1)
+    p = (x ** 64 + y ** 127) * (x ** 63 - 2)
+    assert {ring.unpack(k)[:2]: c for k, c in p.terms.items()} == \
+        {(127, 0): 1, (63, 127): 1, (0, 127): -2, (64, 0): -2}
+    mat = MatrixPoly(ring, [[x ** 100]]) * MatrixPoly(ring, [[x ** 27 * y]])
+    assert ring.unpack(*mat.entries[0][0].terms)[:3] == (127, 1, 0)
+    assert (x ** 127).evaluate([2] + [0] * 7) == 2 ** 127
+
+
+def test_pack_rejects_an_exponent_at_the_bound():
+    ring = inv(2).ring
+    assert ring.unpack(ring.pack([127, 0, 127]))[:4] == (127, 0, 127, 0)
+    for exps in ([128], [0, 128], [0] * 7 + [255], [1, 300]):
+        with pytest.raises(OverflowError):
+            ring.pack(exps)
+    with pytest.raises(ValueError):
+        ring.pack([-1])
+    with pytest.raises(OverflowError):
+        ring.monomials_up_to(128)
+
+
+def test_rings_compare_by_letters_and_order():
+    # a rebuilt context must keep mixing with polynomials of the old one
+    ctx = inv(2)
+    entry = ctx.generic_matrix("x").entries[0][0]
+    ring = PolyRing(AB, 2)
+    assert ring == ctx.ring and hash(ring) == hash(ctx.ring)
+    assert ring != PolyRing(AB, 3) and ring != PolyRing(Alphabet("xz"), 2)
+    fresh = CommPoly(ring, dict(entry.terms))
+    assert fresh == entry and (fresh - entry).is_zero()
+    assert (fresh * entry).terms == (entry * entry).terms
+    with pytest.raises(ValueError):
+        fresh + inv(3).generic_matrix("x").entries[0][0]
+
+
+def test_context_cache_is_bounded():
+    assert MatrixInvariants.get.cache_info().maxsize is not None
+    entry = inv(2).generic_matrix("y").entries[1][0]
+    for n in range(1, MatrixInvariants.get.cache_info().maxsize + 2):
+        MatrixInvariants.get(Alphabet("uvw"), n)
+    assert MatrixInvariants.get.cache_info().currsize <= \
+        MatrixInvariants.get.cache_info().maxsize
+    rebuilt = inv(2).generic_matrix("y").entries[1][0]
+    assert rebuilt == entry and (rebuilt + entry).terms == (entry * 2).terms
