@@ -5,15 +5,19 @@ sparse integer row elimination (``backend.unit_pivot_reduce``), which on the
 relation and pairing matrices of the graded checks usually leaves nothing.
 Whatever remains is handled densely: rank by fraction-free Bareiss
 elimination (Bareiss 1968, Math. Comp. 22), the Smith form by repeated gcd
-reduction.  Span membership is plain Gaussian elimination over Fraction.
+reduction.  Span membership (``in_span``) is sparse integer elimination
+whose rows carry their combinations of the input rows, so its certificates
+come out as ints; a Fraction appears only when the target needs a
+denominator.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+from collections.abc import Mapping
+from math import gcd
 
-from .backend import bareiss_rank, unit_pivot_reduce
+from .backend import bareiss_rank, poly_add_scaled, unit_pivot_reduce
 
 
 class ExactMatrix:
@@ -156,41 +160,102 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def in_span(vectors, target) -> tuple[bool, list[Fraction] | None]:
-    """Exact membership of target in the Q-span of the given vectors.
+def in_span(rows, target) -> tuple[bool, list | None]:
+    """Exact membership of target in the Q-span of the given rows.
 
-    Returns (True, coefficients) with sum(c_i * v_i) == target, else
-    (False, None).  Gaussian elimination over Fraction.
+    Rows and target are sparse ``{column: int}`` dicts with any hashable
+    column key, or dense int sequences of one common length (read as dicts
+    on their positions).  Returns ``(True, c)`` with ``sum(c[i] * rows[i])
+    == target`` and ``len(c) == len(rows)``, else ``(False, None)``.  The
+    certificate holds ints when the scale below divides every entry, and
+    Fractions otherwise, so a target that is a member only over Q shows
+    its denominator.
+
+    Sparse integer elimination that carries row combinations (LaMacchia and
+    Odlyzko, CRYPTO '90).  Each pivot row ``r`` keeps ``{input id: int}``
+    with ``r == sum(combo[i] * rows[i])``.  A row's pivot is a +-1 entry
+    where it has one, else its entry of least absolute value; a unit pivot
+    clears its column by ``r -= f * top``, any other by the fraction-free
+    step ``r = p * r - a * top``, with p and a divided by their gcd.  Pivot
+    rows are kept reduced in every other pivot column, so one pass over a
+    row's pivot columns reduces it.  Only the target carries a scale:
+    ``t == d * target + sum(combo[i] * rows[i])``, and it is a member when
+    ``t`` reduces to zero, with certificate ``-combo / d``.
     """
-    vecs = [list(map(Fraction, v)) for v in vectors]
-    t = list(map(Fraction, target))
-    if vecs and any(len(v) != len(t) for v in vecs):
+    widths = set()
+    sparse = [_sparse_row(r, widths) for r in rows]
+    t = _sparse_row(target, widths)
+    if len(widths) > 1:
         raise ValueError("dimension mismatch")
-    n = len(t)
-    k = len(vecs)
-    # columns are the vectors, target is the RHS
-    aug = [[vecs[j][i] for j in range(k)] + [t[i]] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, n) if aug[i][col]), None)
-        if piv is None:
+    pivots = {}     # pivot column -> (row, combo), reduced in other pivots
+    for i, r in enumerate(sparse):
+        combo = {i: 1}
+        _reduce(r, combo, pivots)
+        if not r:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n:
-            break
-    for i in range(row, n):
-        if aug[i][k]:
-            return False, None
-    coeffs = [Fraction(0)] * k
-    for r, c in pivots:
-        coeffs[c] = aug[r][k]
-    return True, coeffs
+        c = _pivot_column(r)
+        p = r[c]
+        for top, top_combo in pivots.values():
+            if c in top:
+                _eliminate(top, top_combo, r, combo, p, top[c])
+        pivots[c] = (r, combo)
+    combo = {}
+    d = _reduce(t, combo, pivots)
+    if t:
+        return False, None
+    coeffs = [-combo.get(i, 0) for i in range(len(sparse))]
+    if all(c % d == 0 for c in coeffs):
+        return True, [c // d for c in coeffs]
+    from fractions import Fraction
+
+    return True, [Fraction(c, d) for c in coeffs]
+
+
+def _sparse_row(row, widths: set) -> dict:
+    """A fresh ``{column: int}`` dict of the nonzero entries of row, a
+    mapping or a dense sequence (whose length goes into widths)."""
+    if isinstance(row, Mapping):
+        keys, values = row.keys(), row.values()
+    else:
+        values = list(row)
+        keys = range(len(values))
+        widths.add(len(values))
+    return {k: v for k, v in zip(keys, map(operator.index, values)) if v}
+
+
+def _pivot_column(r: dict):
+    """A column where r holds +-1, else one of its least absolute value."""
+    best, least = None, 0
+    for k, v in r.items():
+        if v == 1 or v == -1:
+            return k
+        if best is None or abs(v) < least:
+            best, least = k, abs(v)
+    return best
+
+
+def _reduce(r: dict, combo: dict, pivots: dict) -> int:
+    """Clear every pivot column from r in one pass, applying the same
+    operations to combo; returns the scale that r was multiplied by."""
+    d = 1
+    for c in [c for c in r if c in pivots]:
+        top, top_combo = pivots[c]
+        d *= _eliminate(r, combo, top, top_combo, top[c], r[c])
+    return d
+
+
+def _eliminate(r: dict, combo: dict, top: dict, top_combo: dict,
+               p: int, a: int) -> int:
+    """Clear r's entry a against top's pivot p by ``r = s*r - f*top`` and
+    ``combo = s*combo - f*top_combo``, where ``s = p/g``, ``f = a/g`` and
+    g is gcd(p, a) with p's sign, so that ``s > 0``.  Returns s."""
+    g = gcd(p, a) if p > 0 else -gcd(p, a)
+    s, f = p // g, a // g
+    if s != 1:
+        for k in r:
+            r[k] *= s
+        for k in combo:
+            combo[k] *= s
+    poly_add_scaled(r, top, -f)
+    poly_add_scaled(combo, top_combo, -f)
+    return s

@@ -8,6 +8,7 @@ e_j -> f^(j) into the divided-power ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .backend import poly_add_scaled
@@ -161,13 +162,19 @@ def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:
     """e_i composed with the n-th power sum, in the e-basis.
 
     Substitutes x_j -> x_j^n directly in the expanded form; exact at weight
-    n*i provided nvars >= n*i.
+    n*i provided nvars >= n*i.  Memoized; every call returns a fresh SymPoly.
     """
     if nvars < n * i:
         raise ValueError(f"need at least {n * i} variables, got {nvars}")
+    return SymPoly("e", dict(_plethysm_terms(i, n, nvars)), nvars)
+
+
+@functools.lru_cache(maxsize=256)
+def _plethysm_terms(i: int, n: int, nvars: int
+                    ) -> tuple[tuple[Partition, int], ...]:
     substituted = {tuple(e * n for e in k): v
                    for k, v in _e_k_monomials(i, nvars).items()}
-    return SymPoly("e", _monomials_to_e(substituted, nvars), nvars)
+    return tuple(_monomials_to_e(substituted, nvars).items())
 
 
 def c_alpha(alpha, n: int) -> int:

@@ -11,7 +11,6 @@ forms are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import in_span
 from .freering import Alphabet, FreePoly, parse_freepoly
@@ -92,11 +91,13 @@ def ideal_piece(gens: list[CommPoly], max_deg: int) -> list[CommPoly]:
 
 
 def ideal_membership(gens: list[CommPoly], target: CommPoly, max_deg: int
-                     ) -> tuple[bool, list[Fraction] | None]:
+                     ) -> tuple[bool, list | None]:
     """One-sided certificate that target lies in the ideal, looking only at
-    multiplier monomials within the degree bound."""
+    multiplier monomials within the degree bound.
+
+    Membership is over Q.  The certificate has one coefficient per element
+    of ``ideal_piece(gens, max_deg)``, in that order: ints, or Fractions
+    when the elimination reaches target only with a denominator (see
+    ``exactla.in_span``)."""
     span = ideal_piece(gens, max_deg)
-    keys = sorted({k for p in span for k in p.terms} | set(target.terms))
-    cols = {k: i for i, k in enumerate(keys)}
-    vecs = [p.coeff_vector(cols) for p in span]
-    return in_span(vecs, target.coeff_vector(cols))
+    return in_span([p.terms for p in span], target.terms)

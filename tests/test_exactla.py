@@ -30,6 +30,45 @@ def fraction_gauss_rank(rows):
     return rank
 
 
+def fraction_in_span(vectors, target):
+    """Independent membership oracle: dense Gaussian elimination over
+    Fraction on the augmented matrix whose columns are the vectors.
+
+    Returns (True, coefficients) with sum(c_i * v_i) == target, else
+    (False, None)."""
+    vecs = [list(map(Fraction, v)) for v in vectors]
+    t = list(map(Fraction, target))
+    if vecs and any(len(v) != len(t) for v in vecs):
+        raise ValueError("dimension mismatch")
+    n = len(t)
+    k = len(vecs)
+    aug = [[vecs[j][i] for j in range(k)] + [t[i]] for i in range(n)]
+    pivots = []
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, n) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [a / pv for a in aug[row]]
+        for i in range(n):
+            if i != row and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == n:
+            break
+    for i in range(row, n):
+        if aug[i][k]:
+            return False, None
+    coeffs = [Fraction(0)] * k
+    for r, c in pivots:
+        coeffs[c] = aug[r][k]
+    return True, coeffs
+
+
 def cofactor_det(m):
     n = len(m)
     if n == 0:
@@ -167,3 +206,40 @@ def test_in_span_certificate_reconstructs_target():
 def test_in_span_dimension_mismatch():
     with pytest.raises(ValueError):
         in_span([[1, 2]], [1, 2, 3])
+    with pytest.raises(ValueError):
+        in_span([[1, 2], [1, 2, 3]], {0: 1})
+
+
+def test_in_span_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        in_span([[0.5, 1]], [1, 2])
+    with pytest.raises(TypeError):
+        in_span([{"a": 1}], {"a": Fraction(1, 2)})
+
+
+def test_in_span_sparse_rows_with_any_keys():
+    rows = [{("x", 1): 1, "y": 2}, {"y": 4, 7: -1}]
+    ok, cert = in_span(rows, {("x", 1): 2, 7: 1})
+    assert ok and cert == [2, -1]
+    assert all(type(c) is int for c in cert)
+    assert in_span(rows, {"y": 1}) == (False, None)
+    # the inputs are left as they were
+    assert rows == [{("x", 1): 1, "y": 2}, {"y": 4, 7: -1}]
+
+
+def test_in_span_reports_the_denominator_of_a_rational_member():
+    ok, cert = in_span([{0: 2}], {0: 1})
+    assert ok and cert == [Fraction(1, 2)]
+    # no unit entry anywhere: fraction-free steps, then an exact division
+    ok, cert = in_span([[2, 3], [3, -2]], [5, 1])
+    assert ok and cert == [1, 1] and all(type(c) is int for c in cert)
+    ok, cert = in_span([[2, 0], [0, 3]], [1, 1])
+    assert ok and cert == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def test_in_span_empty_and_zero_cases():
+    assert in_span([], {}) == (True, [])
+    assert in_span([], [0, 0]) == (True, [])
+    assert in_span([], {"a": 1}) == (False, None)
+    ok, cert = in_span([[0, 0], [1, 1]], [0, 0])
+    assert ok and cert == [0, 0]

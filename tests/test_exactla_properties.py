@@ -1,6 +1,9 @@
-"""Property tests: exact rank against Fraction elimination and the Smith
-form against sympy, on random small integer matrices with and without unit
-entries, with repeated and zero rows."""
+"""Property tests: exact rank against Fraction elimination, the Smith form
+against sympy and span membership against dense Fraction elimination, on
+random small integer matrices with and without unit entries, with repeated
+and zero rows."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +15,8 @@ from sympy import ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 from dpinv.backend import bareiss_rank  # noqa: E402
-from dpinv.exactla import ExactMatrix  # noqa: E402
-from test_exactla import fraction_gauss_rank  # noqa: E402
+from dpinv.exactla import ExactMatrix, in_span  # noqa: E402
+from test_exactla import fraction_gauss_rank, fraction_in_span  # noqa: E402
 
 # entries without +-1 leave the whole matrix to the dense remainder loops
 NO_UNITS = st.sampled_from([0, 2, -2, 3, -3, 6, -6])
@@ -41,3 +44,47 @@ def test_smith_matches_sympy(rows):
     snf = smith_normal_form(Matrix(rows), domain=ZZ)
     expected = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
     assert ExactMatrix(rows).smith_normal_form() == expected
+
+
+@st.composite
+def span_problems(draw):
+    """Rows and a target, both dense; the target is drawn at random or as
+    an integer combination of the rows."""
+    rows = draw(matrices())
+    ncols = len(rows[0])
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                               max_size=len(rows)))
+        target = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                  for j in range(ncols)]
+    else:
+        target = draw(st.lists(st.integers(-6, 6), min_size=ncols,
+                               max_size=ncols))
+    return rows, target
+
+
+def _tuple_keyed(row, keep_zeros):
+    return {(j % 2, -j): v for j, v in enumerate(row) if v or keep_zeros}
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_problems(), st.sampled_from(["dense", "dict", "dict+zeros"]))
+def test_in_span_matches_fraction_oracle(problem, form):
+    rows, target = problem
+    if form == "dense":
+        args = (rows, target)
+    else:
+        keep = form == "dict+zeros"
+        args = ([_tuple_keyed(r, keep) for r in rows],
+                _tuple_keyed(target, keep))
+    ok, cert = in_span(*args)
+    expected, _ = fraction_in_span(rows, target)
+    assert ok == expected
+    if not ok:
+        assert cert is None
+        return
+    assert len(cert) == len(rows)
+    assert all(type(c) in (int, Fraction) for c in cert)
+    rebuilt = [sum(c * r[j] for c, r in zip(cert, rows))
+               for j in range(len(target))]
+    assert rebuilt == target

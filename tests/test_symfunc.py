@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dpinv import symfunc
 from dpinv.freering import Alphabet, FreePoly
 from dpinv.gamma import GammaElement, dp_expand, tau
 from dpinv.symfunc import (SymPoly, c_alpha, conjugate, format_sympoly,
@@ -59,6 +60,18 @@ def test_plethysm_stable_in_extra_variables():
         base = plethysm_e_p(i, n, n * i)
         wider = plethysm_e_p(i, n, n * i + 2)
         assert base.terms == wider.terms
+
+
+def test_plethysm_memo_is_bounded_and_hands_out_copies():
+    assert symfunc._plethysm_terms.cache_info().maxsize is not None
+    first = plethysm_e_p(2, 2, 4)
+    expected = dict(first.terms)
+    first.terms[(1,)] = 7
+    first.terms.pop((2, 2), None)
+    again = plethysm_e_p(2, 2, 4)
+    assert again is not first and again.terms == expected
+    with pytest.raises(ValueError):
+        plethysm_e_p(2, 2, 3)
 
 
 def test_c_alpha_examples():

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from dpinv.exactla import ExactMatrix
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly
-from dpinv.invariants import MatrixInvariants
+from dpinv.invariants import CommPoly, MatrixInvariants
 from dpinv.universal import (Presentation, build_An, ideal_membership,
                              ideal_piece, jnr_image, load_presentation)
 
@@ -63,6 +65,64 @@ def test_membership_certificate_degree_three():
     assert ok and cert is not None
     ok, _ = ideal_membership(gens, x11, max_deg=3)
     assert not ok
+
+
+def _remultiply(gens, max_deg, cert):
+    acc = {}
+    for c, q in zip(cert, ideal_piece(gens, max_deg), strict=True):
+        for k, v in q.terms.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _commutator_target(gens, degree):
+    """An integer combination of monomial multiples of the first two ideal
+    generators, of total degree at most the given one."""
+    ring = gens[0].ring
+    shift = [0] * len(ring.names)
+    shift[0] = degree - 2
+    m = CommPoly(ring, {ring.pack(shift): 1})
+    shift[0], shift[-1] = 0, degree - 2
+    m2 = CommPoly(ring, {ring.pack(shift): 1})
+    return gens[0] * m * 3 - gens[1] * m2 * 2 + gens[-1]
+
+
+def test_membership_reports_a_rational_certificate():
+    # the ideal (2x) contains x over Q, with multiplier 1/2
+    p = pres("x", ["2*x"])
+    gens, images = build_An(p, 1)
+    x11 = images[0].entries[0][0]
+    ok, cert = ideal_membership(gens, x11, max_deg=1)
+    assert ok and cert == [Fraction(1, 2)]
+    assert _remultiply(gens, 1, cert) == x11.terms
+
+
+def test_membership_certificates_are_integers_on_the_commutator_ideal():
+    p = pres("xy", ["x*y - y*x"])
+    gens, _ = build_An(p, 2)
+    for degree in (2, 3, 4):
+        target = _commutator_target(gens, degree)
+        ok, cert = ideal_membership(gens, target, degree)
+        assert ok and all(type(c) is int for c in cert)
+        assert _remultiply(gens, degree, cert) == target.terms
+    ring = gens[0].ring
+    assert ideal_membership(gens, ring.var(0) * ring.var(1), 4) \
+        == (False, None)
+
+
+def test_membership_of_zero_without_generators():
+    ring = MatrixInvariants.get(Alphabet("xy"), 2).ring
+    assert ideal_membership([], CommPoly.zero(ring), 3) == (True, [])
+
+
+def test_membership_order_three_degree_four():
+    # 1710 spanning multiples; dense Fraction elimination took minutes here
+    p = pres("xy", ["x*y - y*x"])
+    gens, _ = build_An(p, 3)
+    target = _commutator_target(gens, 4)
+    ok, cert = ideal_membership(gens, target, 4)
+    assert ok and len(cert) == len(ideal_piece(gens, 4)) == 1710
+    assert _remultiply(gens, 4, cert) == target.terms
 
 
 def test_jnr_equals_jn_for_free_presentation():
