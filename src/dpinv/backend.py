@@ -7,7 +7,10 @@ coefficient.  Packed keys add when monomials multiply.  ``poly_mul`` does
 not look at the fields: ``invariants.PolyRing.checked`` guards every
 product once, raising ``OverflowError`` when an exponent reaches 128, the
 top bit of its 8-bit field.  Exponents below that bound sum to less than
-256, so no product carries into the next field unnoticed.
+256, so no product carries into the next field unnoticed.  ``poly_mul``
+also multiplies the symmetric-function monomials of ``symfunc``, whose
+fields are sized to the weight being expanded so that they cannot carry.
+It is the one multiply loop over commutative monomials.
 
 This is the only implementation of each kernel.  The module keeps its name
 and ``backend_name()`` because the benchmark harness traces

@@ -386,25 +386,15 @@ def chi_formal(f: FreePoly, n: int) -> NormedTensor:
         raise ValueError("chi_formal requires a zero constant term")
     if f.is_zero():
         raise ValueError("chi_formal requires a nonzero argument")
-    acc: dict[tuple[DPMonomial, Word], int] = {}
-
-    def put(mono: DPMonomial, w: Word, c: int) -> None:
-        key = (mono, w)
-        nc = acc.get(key, 0) + c
-        if nc:
-            acc[key] = nc
-        elif key in acc:
-            del acc[key]
-
-    for w, c in (f ** n).terms.items():
-        put(DPMonomial.one(), w, c)
+    one = DPMonomial.one()
+    acc = {(one, w): c for w, c in (f ** n).terms.items()}
     for i in range(1, n + 1):
         gi = sigma_n(dp_expand(f, i), n)
         rest = f ** (n - i)
         sign = -1 if i % 2 else 1
         for mono, cg in gi.terms.items():
-            for w, cw in rest.terms.items():
-                put(mono, w, sign * cg * cw)
+            poly_add_scaled(acc, {(mono, w): cw for w, cw in rest.terms.items()},
+                            sign * cg)
     return NormedTensor(acc, n)
 
 

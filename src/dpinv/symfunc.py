@@ -4,6 +4,22 @@ Only what the divided-power identities need: the monomial and elementary
 bases, base change by leading-term elimination, plethysm by a power sum
 (computed by literal substitution of n-th powers), and the substitution
 e_j -> f^(j) into the divided-power ring.
+
+Expanded polynomials are the sparse ``{packed key: int}`` dicts of
+``backend``, so ``backend.poly_mul`` multiplies the e-products and
+``backend.poly_add_scaled`` accumulates them.  The key format is private to
+this module: the exponent of variable j sits in bit field j, and every
+field is ``max(weight, 1).bit_length()`` bits wide, where weight is the
+largest total degree of the polynomial being expanded.  No exponent can
+exceed that weight, and the weight is below ``2**width``, so no field ever
+carries and the width needs no guard.  Substituting x_j -> x_j^n in e_i
+multiplies a key by n: every exponent becomes 0 or n, within the weight n*i.
+
+Comparing packed keys is lex order read from the last variable.  The lead
+of a symmetric polynomial is therefore its dominant partition written in
+increasing order, and the partition is the lead's nonzero exponents,
+reversed.  Keys are unpacked into exponent tuples only there and in
+``SymPoly.to_monomials``.
 """
 
 from __future__ import annotations
@@ -11,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .backend import poly_add_scaled
+from .backend import poly_add_scaled, poly_mul
 from .freering import FreePoly, ParseError, format_signed_sum
 from .gamma import GammaElement, dp_expand, tau
 
@@ -55,39 +71,33 @@ def conjugate(alpha: Partition) -> Partition:
                  for j in range(1, alpha[0] + 1))
 
 
-def _monomial_orbit(alpha: Partition, nvars: int) -> dict[tuple, int]:
-    """m_alpha expanded into exponent-tuple monomials over nvars variables."""
+def _width(weight: int) -> int:
+    """Field width of a key whose exponents are at most weight."""
+    return max(weight, 1).bit_length()
+
+
+def _unpack(key: int, nvars: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple((key >> (width * j)) & mask for j in range(nvars))
+
+
+def _monomial_orbit(alpha: Partition, nvars: int, width: int) -> dict[int, int]:
+    """m_alpha expanded into packed monomials over nvars variables."""
     padded = tuple(alpha) + (0,) * (nvars - len(alpha))
-    return {exps: 1 for exps in set(itertools.permutations(padded))}
+    return {sum(e << (width * j) for j, e in enumerate(exps)): 1
+            for exps in set(itertools.permutations(padded))}
 
 
-def _dict_mul(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            c = out.get(k, 0) + va * vb
-            if c:
-                out[k] = c
-            elif k in out:
-                del out[k]
-    return out
+def _e_k_monomials(k: int, nvars: int, width: int) -> dict[int, int]:
+    return {sum(1 << (width * j) for j in comb): 1
+            for comb in itertools.combinations(range(nvars), k)}
 
 
-def _e_k_monomials(k: int, nvars: int) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for comb in itertools.combinations(range(nvars), k):
-        exps = [0] * nvars
-        for i in comb:
-            exps[i] = 1
-        out[tuple(exps)] = 1
-    return out
-
-
-def _e_product_monomials(lam: Partition, nvars: int) -> dict[tuple, int]:
-    out = {(0,) * nvars: 1}
+def _e_product_monomials(lam: Partition, nvars: int,
+                         width: int) -> dict[int, int]:
+    out = {0: 1}
     for part in lam:
-        out = _dict_mul(out, _e_k_monomials(part, nvars))
+        out = poly_mul(out, _e_k_monomials(part, nvars, width))
     return out
 
 
@@ -123,29 +133,34 @@ class SymPoly:
 
     def to_monomials(self) -> dict[tuple, int]:
         """Expansion into exponent-tuple monomials over nvars variables."""
-        out: dict[tuple, int] = {}
+        nvars = self.nvars
+        width = _width(max(map(sum, self.terms), default=0))
+        expand = _monomial_orbit if self.basis == "m" else _e_product_monomials
+        out: dict[int, int] = {}
         for p, c in self.terms.items():
-            expansion = (_monomial_orbit(p, self.nvars) if self.basis == "m"
-                         else _e_product_monomials(p, self.nvars))
-            poly_add_scaled(out, expansion, c)
-        return out
+            poly_add_scaled(out, expand(p, nvars, width), c)
+        return {_unpack(k, nvars, width): c for k, c in out.items()}
 
     def __repr__(self) -> str:
         return f"SymPoly({self.basis!r}, {self.terms!r}, nvars={self.nvars})"
 
 
-def _monomials_to_e(mono: dict[tuple, int], nvars: int) -> dict[Partition, int]:
+def _monomials_to_e(mono: dict[int, int], nvars: int,
+                    width: int) -> dict[Partition, int]:
     """Leading-term elimination: peel off the lex-greatest monomial with the
-    unique e-product sharing it, and recurse."""
+    unique e-product sharing it, and recurse.  Every other monomial of that
+    e-product is lex-smaller, so the leads strictly decrease and each
+    partition is peeled at most once."""
     work = dict(mono)
     result: dict[Partition, int] = {}
     while work:
         lead = max(work)
         c = work[lead]
-        lam = conjugate(tuple(e for e in lead if e))
-        result[lam] = result.get(lam, 0) + c
-        poly_add_scaled(work, _e_product_monomials(lam, nvars), -c)
-    return {p: c for p, c in result.items() if c}
+        lam = conjugate(tuple(e for e in reversed(_unpack(lead, nvars, width))
+                              if e))
+        result[lam] = c
+        poly_add_scaled(work, _e_product_monomials(lam, nvars, width), -c)
+    return result
 
 
 def m_to_e(alpha, nvars: int) -> SymPoly:
@@ -154,8 +169,9 @@ def m_to_e(alpha, nvars: int) -> SymPoly:
     if len(alpha) > nvars:
         raise ValueError(
             f"m_{alpha} needs at least {len(alpha)} variables, got {nvars}")
-    return SymPoly("e", _monomials_to_e(_monomial_orbit(alpha, nvars), nvars),
-                   nvars)
+    width = _width(sum(alpha))
+    return SymPoly("e", _monomials_to_e(_monomial_orbit(alpha, nvars, width),
+                                        nvars, width), nvars)
 
 
 def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:
@@ -172,9 +188,9 @@ def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:
 @functools.lru_cache(maxsize=256)
 def _plethysm_terms(i: int, n: int, nvars: int
                     ) -> tuple[tuple[Partition, int], ...]:
-    substituted = {tuple(e * n for e in k): v
-                   for k, v in _e_k_monomials(i, nvars).items()}
-    return tuple(_monomials_to_e(substituted, nvars).items())
+    width = _width(n * i)
+    substituted = {k * n: v for k, v in _e_k_monomials(i, nvars, width).items()}
+    return tuple(_monomials_to_e(substituted, nvars, width).items())
 
 
 def c_alpha(alpha, n: int) -> int:

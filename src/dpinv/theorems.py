@@ -14,8 +14,8 @@ from math import prod
 
 from .exactla import ExactMatrix
 from .freering import Alphabet, FreePoly, Word, enumerate_words
-from .gamma import (DPMonomial, GammaElement, dp_expand, enumerate_dp_monomials,
-                    merge_factors, rho_n, sigma_n, tau)
+from .gamma import (DPMonomial, GammaElement, _compositions, dp_expand,
+                    enumerate_dp_monomials, merge_factors, rho_n, sigma_n, tau)
 from .invariants import MatrixInvariants
 from .symfunc import plethysm_e_p, rho_a_substitute
 
@@ -56,23 +56,8 @@ class VerifyEntry:
 def multidegrees(nletters: int, max_total: int,
                  min_total: int = 0) -> list[tuple[int, ...]]:
     """All multidegrees with min_total <= |d| <= max_total, by (|d|, d)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, acc: list[int]) -> None:
-        if i == nletters - 1:
-            acc.append(rem)
-            out.append(tuple(acc))
-            acc.pop()
-            return
-        for v in range(rem + 1):
-            acc.append(v)
-            rec(i + 1, rem - v, acc)
-            acc.pop()
-
-    for total in range(min_total, max_total + 1):
-        rec(0, total, [])
-    out.sort(key=lambda d: (sum(d), d))
-    return out
+    return [d for total in range(min_total, max_total + 1)
+            for d in _compositions(total, nletters)]
 
 
 def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:

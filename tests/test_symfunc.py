@@ -21,6 +21,27 @@ def brute_monomials(partition, nvars):
     return {p: 1 for p in set(itertools.permutations(padded))}
 
 
+def brute_e_product(lam, nvars):
+    """Independent expansion of e_lam on exponent tuples: one 0/1 vector per
+    choice of variables for each part, summed."""
+    out = {(0,) * nvars: 1}
+    for part in lam:
+        nxt = {}
+        for exps, c in out.items():
+            for comb in itertools.combinations(range(nvars), part):
+                k = tuple(e + (j in comb) for j, e in enumerate(exps))
+                nxt[k] = nxt.get(k, 0) + c
+        out = nxt
+    return out
+
+
+def test_key_width_holds_the_weight():
+    # every exponent is at most the weight, so the weight must fit a field;
+    # runs first because a carrying field makes elimination loop forever
+    for w in range(1, 301):
+        assert 1 << symfunc._width(w) > w, w
+
+
 def test_m_to_e_examples():
     assert m_to_e((1, 1), 2).terms == {(2,): 1}
     assert m_to_e((2,), 2).terms == {(1, 1): 1, (2,): -2}
@@ -34,6 +55,27 @@ def test_m_to_e_roundtrip_up_to_weight_six():
                 e = m_to_e(alpha, nvars)
                 assert e.to_monomials() == brute_monomials(alpha, nvars), \
                     (alpha, nvars)
+
+
+def test_m_to_e_roundtrip_at_power_of_two_weights():
+    # one exponent equals the weight: a field one bit short would carry
+    for alpha, nvars in [((8,), 2), ((16,), 1)]:
+        e = m_to_e(alpha, nvars)
+        assert e.to_monomials() == brute_monomials(alpha, nvars), alpha
+
+
+def test_m_to_e_has_no_weight_cap():
+    assert m_to_e((200,), 1).terms == {(1,) * 200: 1}
+
+
+def test_to_monomials_mixed_weights():
+    terms = {(2, 1): 3, (1,): -1, (3, 3): 2}
+    expected = {}
+    for lam, c in terms.items():
+        for exps, v in brute_e_product(lam, 6).items():
+            expected[exps] = expected.get(exps, 0) + c * v
+    expected = {k: v for k, v in expected.items() if v}
+    assert SymPoly("e", terms, 6).to_monomials() == expected
 
 
 def test_m_to_e_rejects_too_few_variables():
@@ -53,6 +95,16 @@ def test_plethysm_examples():
     # e_2 o p_2 at weight 4, against the monomial orbit oracle
     pl = plethysm_e_p(2, 2, 4)
     assert pl.to_monomials() == brute_monomials((2, 2), 4)
+
+
+def test_plethysm_against_substituted_e_i():
+    # e_i(x_1^n, ..., x_N^n) at N = n*i, expanded from variable subsets
+    for i in range(1, 9):
+        for n in range(1, 8 // i + 1):
+            nvars = n * i
+            brute = {tuple(n if j in comb else 0 for j in range(nvars)): 1
+                     for comb in itertools.combinations(range(nvars), i)}
+            assert plethysm_e_p(i, n, nvars).to_monomials() == brute, (i, n)
 
 
 def test_plethysm_stable_in_extra_variables():

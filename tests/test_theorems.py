@@ -23,6 +23,12 @@ Y = word_from_str("y", AB)
 def test_multidegree_order():
     ds = multidegrees(2, 2)
     assert ds == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for nletters in (1, 2, 3):
+        for lo, hi in [(0, 4), (1, 3), (3, 5)]:
+            box = itertools.product(range(hi + 1), repeat=nletters)
+            expected = sorted((d for d in box if lo <= sum(d) <= hi),
+                              key=lambda d: (sum(d), d))
+            assert multidegrees(nletters, hi, lo) == expected
 
 
 def test_abelianized_piece_examples():
