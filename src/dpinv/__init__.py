@@ -18,9 +18,7 @@ from .gamma import (ContextError, DPMonomial, GammaElement, NormedTensor,
                     enumerate_dp_monomials, format_gamma, parse_gamma, rho_n,
                     sigma_n, tau, tau_n)
 from .invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
-                         charpoly_coeffs, covariant_span, det_cofactor,
-                         generic_matrix, invariant_span, jn_eval,
-                         multidet_coeff, pi_n_eval)
+                         charpoly_coeffs, det_cofactor)
 from .symfunc import (Partition, SymPoly, c_alpha, m_to_e, partitions,
                       plethysm_e_p, rho_a_substitute)
 from .theorems import (VerifyEntry, abelianized_piece,

@@ -12,6 +12,10 @@ also multiplies the symmetric-function monomials of ``symfunc``, whose
 fields are sized to the weight being expanded so that they cannot carry.
 It is the one multiply loop over commutative monomials.
 
+``Terms`` is the element arithmetic over such dicts that every
+combination-of-basis-keys type shares: sums, differences, negation,
+integer scaling, powers, equality and dense coefficient rows.
+
 This is the only implementation of each kernel.  The module keeps its name
 and ``backend_name()`` because the benchmark harness traces
 ``dpinv.backend.poly_mul`` and ``dpinv.backend.bareiss_rank`` and records
@@ -58,6 +62,83 @@ def poly_add_scaled(acc, b, s):
             elif k in acc:
                 del acc[k]
     return acc
+
+
+class Terms:
+    """An integer combination of basis keys in a fixed context.
+
+    ``terms`` maps each key to a nonzero int and is never mutated once the
+    element is built.  A subclass supplies ``_like(terms)``, a sibling in
+    the same context built from already clean terms; ``_context()``, what
+    two operands must share; ``_coerce(other)``, which returns ``other`` as
+    a sibling or raises; and ``_ONE``, the key of the identity, when
+    ``__mul__`` also multiplies two elements.  Elements are unhashable.
+    """
+
+    __slots__ = ("terms",)
+    _ONE = None
+
+    def _like(self, terms):
+        raise NotImplementedError
+
+    def _context(self):
+        return None
+
+    def _coerce(self, other):
+        """``other`` as an operand beside self; a foreign type is a
+        TypeError, and a subclass adds its context check."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(other).__name__}")
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.terms == other.terms
+                and self._context() == other._context())
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return self._like(poly_add_scaled(dict(self.terms), other.terms, 1))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return self._like(poly_add_scaled(dict(self.terms), other.terms, -1))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._like({k: c * other for k, c in self.terms.items()}
+                          if other else {})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if self._ONE is None:
+            return NotImplemented
+        if k < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self._like({self._ONE: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def coeff_vector(self, columns) -> list:
+        """Dense coefficient row over a fixed key-to-column map."""
+        row = [0] * len(columns)
+        for k, c in self.terms.items():
+            row[columns[k]] = c
+        return row
 
 
 def unit_pivot_reduce(rows):

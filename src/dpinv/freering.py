@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .backend import poly_add_scaled
+from .backend import Terms
 
 
 class ParseError(ValueError):
@@ -222,7 +222,28 @@ def words_of_multidegree(d: tuple[int, ...]) -> list[Word]:
     return out
 
 
-class FreePoly:
+def distinct_permutations(seq) -> Iterator[tuple]:
+    """Each distinct ordering of seq once, in lex order.
+
+    Steps from the sorted input by next-permutation, so a multiset with
+    few distinct orderings costs that many steps, not len(seq)!.
+    """
+    p = sorted(seq)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = reversed(p[i + 1:])
+
+
+class FreePoly(Terms):
     """Sparse noncommutative polynomial with integer coefficients.
 
     ``terms`` maps Word -> nonzero int; the empty word holds the constant
@@ -230,7 +251,8 @@ class FreePoly:
     an empty-word key.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ONE = Word()
 
     def __init__(self, terms: dict[Word, int] | None = None):
         clean: dict[Word, int] = {}
@@ -239,6 +261,11 @@ class FreePoly:
                 if c:
                     clean[Word(w)] = c
         self.terms = clean
+
+    def _like(self, terms: dict[Word, int]) -> "FreePoly":
+        res = FreePoly.__new__(FreePoly)
+        res.terms = terms
+        return res
 
     @classmethod
     def zero(cls) -> "FreePoly":
@@ -260,36 +287,15 @@ class FreePoly:
     def constant_term(self) -> int:
         return self.terms.get(Word(), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def in_augmentation_ideal(self) -> bool:
         return self.constant_term == 0
 
     def words(self) -> list[Word]:
         return sorted(self.terms, key=Word.graded_key)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreePoly) and self.terms == other.terms
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        res = FreePoly.__new__(FreePoly)
-        res.terms = poly_add_scaled(dict(self.terms), other.terms, 1)
-        return res
-
-    def __neg__(self) -> "FreePoly":
-        res = FreePoly.__new__(FreePoly)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "FreePoly":
-        if isinstance(other, int):
-            res = FreePoly.__new__(FreePoly)
-            res.terms = {w: c * other for w, c in self.terms.items()} if other else {}
-            return res
+        if not isinstance(other, FreePoly):
+            return super().__mul__(other)
         out: dict[Word, int] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
@@ -299,20 +305,7 @@ class FreePoly:
                     out[w] = nc
                 elif w in out:
                     del out[w]
-        res = FreePoly.__new__(FreePoly)
-        res.terms = out
-        return res
-
-    def __rmul__(self, other: int) -> "FreePoly":
-        return self * other
-
-    def __pow__(self, k: int) -> "FreePoly":
-        if k < 0:
-            raise ValueError("negative power of a FreePoly")
-        result = FreePoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return self._like(out)
 
     def to_str(self, alphabet: Alphabet) -> str:
         return format_signed_sum(

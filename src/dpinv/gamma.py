@@ -18,7 +18,7 @@ import functools
 import math
 from typing import Iterable, Iterator
 
-from .backend import poly_add_scaled
+from .backend import Terms, poly_add_scaled
 from .freering import Alphabet, FreePoly, ParseError, Word, format_signed_sum
 
 
@@ -105,10 +105,33 @@ def merge_factors(pairs: Iterable[tuple[Word, int]]) -> tuple[int, DPMonomial]:
     return coeff, DPMonomial(exps.items())
 
 
-class GammaElement:
+class _LevelTerms(Terms):
+    """Terms in a divided-power context: ``level=None`` for the limit ring,
+    ``level=n`` for the degree-n truncation."""
+
+    __slots__ = ("level",)
+
+    def _like(self, terms):
+        res = object.__new__(type(self))
+        res.terms = terms
+        res.level = self.level
+        return res
+
+    def _context(self) -> int | None:
+        return self.level
+
+    def _coerce(self, other):
+        if type(other) is type(self) and other.level == self.level:
+            return other
+        super()._coerce(other)
+        raise ContextError(
+            f"context mismatch: {self.level!r} vs {other.level!r}")
+
+
+class GammaElement(_LevelTerms):
     """Integer combination of standard-basis monomials in a fixed context."""
 
-    __slots__ = ("terms", "level")
+    __slots__ = ()
 
     def __init__(self, terms: dict[DPMonomial, int] | None = None,
                  level: int | None = None):
@@ -132,42 +155,6 @@ class GammaElement:
     def monomial(cls, m: DPMonomial, level: int | None = None,
                  c: int = 1) -> "GammaElement":
         return cls({m: c}, level)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "GammaElement") -> None:
-        if self.level != other.level:
-            raise ContextError(
-                f"context mismatch: {self.level!r} vs {other.level!r}")
-
-    def __add__(self, other: "GammaElement") -> "GammaElement":
-        self._check(other)
-        res = GammaElement.__new__(GammaElement)
-        res.terms = poly_add_scaled(dict(self.terms), other.terms, 1)
-        res.level = self.level
-        return res
-
-    def __neg__(self) -> "GammaElement":
-        res = GammaElement.__new__(GammaElement)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        res.level = self.level
-        return res
-
-    def __sub__(self, other: "GammaElement") -> "GammaElement":
-        return self + (-other)
-
-    def __mul__(self, c: int) -> "GammaElement":
-        res = GammaElement.__new__(GammaElement)
-        res.terms = {m: v * c for m, v in self.terms.items()} if c else {}
-        res.level = self.level
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GammaElement) and self.level == other.level
-                and self.terms == other.terms)
 
     def sorted_terms(self) -> list[tuple[DPMonomial, int]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
@@ -197,12 +184,12 @@ def dp_product(u: DPMonomial, v: DPMonomial,
 
 def dp_mul(g: GammaElement, h: GammaElement) -> GammaElement:
     """Bilinear extension of dp_product."""
-    g._check(h)
-    out = GammaElement.zero(g.level)
+    g._coerce(h)
+    acc: dict[DPMonomial, int] = {}
     for mu, cu in g.terms.items():
         for mv, cv in h.terms.items():
-            out = out + dp_product(mu, mv, g.level) * (cu * cv)
-    return out
+            poly_add_scaled(acc, dp_product(mu, mv, g.level).terms, cu * cv)
+    return g._like(acc)
 
 
 def _interior_matrices(rowsums: tuple[int, ...], colsums: tuple[int, ...]
@@ -280,7 +267,7 @@ def tau(g: GammaElement, h: GammaElement) -> GammaElement:
     In a truncated context the product is computed in the limit and then
     truncated, which is the definition of the level-n multiplication.
     """
-    g._check(h)
+    g._coerce(h)
     acc: dict[DPMonomial, int] = {}
     for mu, cu in g.terms.items():
         for mv, cv in h.terms.items():
@@ -346,7 +333,7 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
     return GammaElement(terms, None)
 
 
-class NormedTensor:
+class NormedTensor(_LevelTerms):
     """Element of (level-n divided powers, abelianized) tensor the free ring.
 
     Terms map (DPMonomial, Word) -> int; the left factor is a standard-basis
@@ -354,19 +341,12 @@ class NormedTensor:
     (the empty word carrying the scalar slot).
     """
 
-    __slots__ = ("terms", "level")
+    __slots__ = ()
 
     def __init__(self, terms: dict[tuple[DPMonomial, Word], int] | None,
                  level: int):
         self.terms = {k: c for k, c in (terms or {}).items() if c}
         self.level = level
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NormedTensor) and self.level == other.level
-                and self.terms == other.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[DPMonomial, Word], int]]:
         return sorted(self.terms.items(),

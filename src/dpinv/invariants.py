@@ -26,13 +26,13 @@ it divides nowhere, so it holds over the integers.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import mul, or_
 
-from .backend import poly_add_scaled, poly_mul
-from .freering import (Alphabet, FreePoly, Word, enumerate_necklaces,
-                       enumerate_words, format_signed_sum)
-from .gamma import ContextError, DPMonomial, GammaElement
+from .backend import Terms, poly_add_scaled, poly_mul
+from .freering import (Alphabet, FreePoly, Word, distinct_permutations,
+                       enumerate_necklaces, enumerate_words, format_signed_sum)
+from .gamma import ContextError, DPMonomial, GammaElement, _compositions
 
 _WIDTH = 8
 _MASK = (1 << _WIDTH) - 1
@@ -104,17 +104,8 @@ class PolyRing:
         if max_deg >= _BOUND:
             raise OverflowError(
                 f"degree {max_deg} is not below the packing's bound {_BOUND}")
-        out: list[int] = []
-
-        def rec(idx: int, rem: int, key: int) -> None:
-            if idx == self.nvars:
-                out.append(key)
-                return
-            for e in range(rem + 1):
-                rec(idx + 1, rem - e, key | (e << (_WIDTH * idx)))
-
-        rec(0, max_deg, 0)
-        return sorted(out)
+        return sorted(self.pack(exps) for total in range(max_deg + 1)
+                      for exps in _compositions(total, self.nvars))
 
     def monomial_values(self, keys, values) -> dict[int, int]:
         """Value at the integer point ``values`` of every given packed key.
@@ -148,10 +139,11 @@ class PolyRing:
         return f"PolyRing(letters={''.join(self.alphabet.names)}, n={self.n})"
 
 
-class CommPoly:
+class CommPoly(Terms):
     """Sparse commutative polynomial over the integers in a fixed ring."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _ONE = 0
 
     def __init__(self, ring: PolyRing, terms: dict[int, int] | None = None):
         self.ring = ring
@@ -166,69 +158,28 @@ class CommPoly:
     def const(cls, ring: PolyRing, c: int) -> "CommPoly":
         return cls(ring, {0: c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict[int, int]) -> "CommPoly":
+        res = CommPoly.__new__(CommPoly)
+        res.ring, res.terms = self.ring, terms
+        return res
+
+    def _context(self) -> PolyRing:
+        return self.ring
 
     def _coerce(self, other) -> "CommPoly":
+        if type(other) is CommPoly and (other.ring is self.ring
+                                        or other.ring == self.ring):
+            return other
         if isinstance(other, int):
             return CommPoly.const(self.ring, other)
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError("mixed polynomial rings")
-        return other
-
-    def __add__(self, other) -> "CommPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        poly_add_scaled(out, other.terms, 1)
-        res = CommPoly.__new__(CommPoly)
-        res.ring, res.terms = self.ring, out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CommPoly":
-        res = CommPoly.__new__(CommPoly)
-        res.ring = self.ring
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other) -> "CommPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        poly_add_scaled(out, other.terms, -1)
-        res = CommPoly.__new__(CommPoly)
-        res.ring, res.terms = self.ring, out
-        return res
-
-    def __rsub__(self, other) -> "CommPoly":
-        return (-self) + other
+        super()._coerce(other)
+        raise ValueError("mixed polynomial rings")
 
     def __mul__(self, other) -> "CommPoly":
         if isinstance(other, int):
-            res = CommPoly.__new__(CommPoly)
-            res.ring = self.ring
-            res.terms = {k: c * other for k, c in self.terms.items()} \
-                if other else {}
-            return res
+            return super().__mul__(other)
         other = self._coerce(other)
-        res = CommPoly.__new__(CommPoly)
-        res.ring = self.ring
-        res.terms = self.ring.checked(poly_mul(self.terms, other.terms))
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CommPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = CommPoly.const(self.ring, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CommPoly) and self.ring == other.ring
-                and self.terms == other.terms)
+        return self._like(self.ring.checked(poly_mul(self.terms, other.terms)))
 
     def total_degree(self) -> int:
         return max((sum(self.ring.unpack(k)) for k in self.terms), default=0)
@@ -245,13 +196,6 @@ class CommPoly:
         every key of this polynomial."""
         return sum(map(mul, self.terms.values(),
                        map(table.__getitem__, self.terms)))
-
-    def coeff_vector(self, columns: dict[int, int], out=None) -> list[int]:
-        """Coefficient row over a fixed monomial-to-column map."""
-        row = out if out is not None else [0] * len(columns)
-        for k, c in self.terms.items():
-            row[columns[k]] = c
-        return row
 
     def to_str(self) -> str:
         names = self.ring.names
@@ -484,7 +428,7 @@ class MatrixInvariants:
         if not 0 < weight <= self.n:
             return CommPoly.const(self.ring, 1 if weight == 0 else 0)
         labels = [k for k, e in enumerate(exponents) for _ in range(e)]
-        labellings = sorted(set(permutations(labels)))
+        labellings = list(distinct_permutations(labels))
         acc: dict[int, int] = {}
         for subset in combinations(range(self.n), weight):
             for labelling in labellings:
@@ -585,26 +529,3 @@ class MatrixInvariants:
                 out.append(mat * inv)
         return out
 
-
-def generic_matrix(s, n: int, alphabet: Alphabet) -> MatrixPoly:
-    return MatrixInvariants.get(alphabet, n).generic_matrix(s)
-
-
-def jn_eval(f: FreePoly, n: int, alphabet: Alphabet) -> MatrixPoly:
-    return MatrixInvariants.get(alphabet, n).jn_eval(f)
-
-
-def pi_n_eval(g: GammaElement, n: int, alphabet: Alphabet) -> CommPoly:
-    return MatrixInvariants.get(alphabet, n).pi_n_eval(g)
-
-
-def multidet_coeff(mats, exponents, n: int, alphabet: Alphabet) -> CommPoly:
-    return MatrixInvariants.get(alphabet, n).multidet_coeff(mats, exponents)
-
-
-def invariant_span(n: int, d: tuple[int, ...], alphabet: Alphabet) -> list[CommPoly]:
-    return MatrixInvariants.get(alphabet, n).invariant_span(d)
-
-
-def covariant_span(n: int, d: tuple[int, ...], alphabet: Alphabet) -> list[MatrixPoly]:
-    return MatrixInvariants.get(alphabet, n).covariant_span(d)

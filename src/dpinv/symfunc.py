@@ -28,7 +28,8 @@ import functools
 import itertools
 
 from .backend import poly_add_scaled, poly_mul
-from .freering import FreePoly, ParseError, format_signed_sum
+from .freering import (FreePoly, ParseError, distinct_permutations,
+                       format_signed_sum)
 from .gamma import GammaElement, dp_expand, tau
 
 Partition = tuple[int, ...]
@@ -85,7 +86,7 @@ def _monomial_orbit(alpha: Partition, nvars: int, width: int) -> dict[int, int]:
     """m_alpha expanded into packed monomials over nvars variables."""
     padded = tuple(alpha) + (0,) * (nvars - len(alpha))
     return {sum(e << (width * j) for j, e in enumerate(exps)): 1
-            for exps in set(itertools.permutations(padded))}
+            for exps in distinct_permutations(padded)}
 
 
 def _e_k_monomials(k: int, nvars: int, width: int) -> dict[int, int]:
@@ -214,13 +215,13 @@ def rho_a_substitute(sym: SymPoly, a: FreePoly) -> GammaElement:
     """
     if sym.basis != "e":
         raise ValueError("rho_a substitution expects the e-basis")
-    total = GammaElement.zero(None)
+    total: dict = {}
     for lam, c in sym.sorted_terms():
         acc = GammaElement.one(None)
         for part in lam:
             acc = tau(acc, dp_expand(a, part))
-        total = total + acc * c
-    return total
+        poly_add_scaled(total, acc.terms, c)
+    return GammaElement(total)
 
 
 def parse_sympoly(text: str) -> SymPoly:

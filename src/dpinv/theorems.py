@@ -7,15 +7,16 @@ entries.  Failures are report entries, never exceptions.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from math import prod
 
+from .backend import poly_add_scaled
 from .exactla import ExactMatrix
 from .freering import Alphabet, FreePoly, Word, enumerate_words
 from .gamma import (DPMonomial, GammaElement, _compositions, dp_expand,
-                    enumerate_dp_monomials, merge_factors, rho_n, sigma_n, tau)
+                    enumerate_dp_monomials, rho_n, sigma_n, tau,
+                    tau_monomials)
 from .invariants import MatrixInvariants
 from .symfunc import plethysm_e_p, rho_a_substitute
 
@@ -62,16 +63,8 @@ def multidegrees(nletters: int, max_total: int,
 
 def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All e with 0 <= e <= d componentwise, by (|e|, e)."""
-    out = list(itertools.product(*(range(x + 1) for x in d)))
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
-def _vec(g: GammaElement, index: dict[DPMonomial, int]) -> list[int]:
-    row = [0] * len(index)
-    for m, c in g.terms.items():
-        row[index[m]] = c
-    return row
+    return [e for e in multidegrees(len(d), sum(d))
+            if all(a <= b for a, b in zip(e, d))]
 
 
 def _commutator_rows(d: tuple[int, ...], level: int | None,
@@ -107,7 +100,7 @@ def _commutator_rows(d: tuple[int, ...], level: int | None,
                     for a in a_monos:
                         row_el = tau(GammaElement.monomial(a, level), comm)
                         if not row_el.is_zero():
-                            rows.append(_vec(row_el, index))
+                            rows.append(row_el.coeff_vector(index))
     return rows
 
 
@@ -249,10 +242,10 @@ class TauSum(TauExpr):
     terms: list = field(default_factory=list)  # (coefficient, TauExpr)
 
     def eval(self) -> GammaElement:
-        acc = GammaElement.zero(None)
+        acc: dict[DPMonomial, int] = {}
         for c, e in self.terms:
-            acc = acc + e.eval() * c
-        return acc
+            poly_add_scaled(acc, e.eval().terms, c)
+        return GammaElement(acc)
 
 
 def reduce_to_single_generators(m: DPMonomial,
@@ -278,36 +271,12 @@ def reduce_to_single_generators(m: DPMonomial,
     else:
         (w1, a1) = m.factors[0]
         rest = DPMonomial(m.factors[1:])
-        terms: list = [(1, TauProduct(TauLeaf(w1, a1),
-                                      reduce_to_single_generators(rest, _memo)))]
-        cols = rest.factors
-
-        def rec(j: int, left: int, picked: list[int]) -> None:
-            if j == len(cols):
-                if sum(picked) == 0:
-                    return
-                pairs = []
-                slack = a1 - sum(picked)
-                if slack:
-                    pairs.append((w1, slack))
-                for (wj, aj), gj in zip(cols, picked):
-                    if aj - gj:
-                        pairs.append((wj, aj - gj))
-                for (wj, _), gj in zip(cols, picked):
-                    if gj:
-                        pairs.append((w1 + wj, gj))
-                coeff, mono = merge_factors(pairs)
-                terms.append((-coeff,
-                              reduce_to_single_generators(mono, _memo)))
-                return
-            top = min(left, cols[j][1])
-            for gj in range(top + 1):
-                picked.append(gj)
-                rec(j + 1, left - gj, picked)
-                picked.pop()
-
-        rec(0, a1, [])
-        expr = TauSum(terms)
+        product = tau_monomials(DPMonomial.single(w1, a1), rest).terms
+        expr = TauSum(
+            [(1, TauProduct(TauLeaf(w1, a1),
+                            reduce_to_single_generators(rest, _memo)))]
+            + [(-c, reduce_to_single_generators(mono, _memo))
+               for mono, c in product.items() if mono != m])
     _memo[m] = expr
     return expr
 
@@ -361,7 +330,7 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
     comm = _commutator_rows(d, None, index)
     comm_rank = ExactMatrix(comm, len(basis)).rank()
 
-    ker_rows = [_vec(GammaElement.monomial(m), index)
+    ker_rows = [GammaElement.monomial(m).coeff_vector(index)
                 for m in basis if m.weight > n]
     lhs_rank = ExactMatrix(ker_rows + comm, len(basis)).rank() - comm_rank
 
@@ -378,7 +347,7 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
             for a in enumerate_dp_monomials(rest, None):
                 row_el = tau(GammaElement.monomial(a), gen)
                 if not row_el.is_zero():
-                    ideal_rows.append(_vec(row_el, index))
+                    ideal_rows.append(row_el.coeff_vector(index))
     rhs_rank = ExactMatrix(ideal_rows + comm, len(basis)).rank() - comm_rank
     return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, comm_rank,
                        lhs_rank == rhs_rank)

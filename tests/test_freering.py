@@ -4,10 +4,10 @@ from math import gcd
 import pytest
 
 from dpinv.freering import (Alphabet, FreePoly, Necklace, ParseError, Word,
-                            cyclic_normal_form, enumerate_necklaces,
-                            enumerate_words, parse_freepoly,
-                            primitive_decompose, word_from_str,
-                            words_of_multidegree)
+                            cyclic_normal_form, distinct_permutations,
+                            enumerate_necklaces, enumerate_words,
+                            parse_freepoly, primitive_decompose,
+                            word_from_str, words_of_multidegree)
 
 AB = Alphabet("xy")
 
@@ -191,3 +191,10 @@ def test_format_roundtrip():
     for text in ["x", "-x + y", "2*x*y^2 - y*x + 3", "x*x - 1"]:
         p = fp(text)
         assert fp(p.to_str(AB)) == p
+
+
+def test_distinct_permutations_match_the_full_walk():
+    for seq in [(), (1,), (0, 0), (2, 1, 0), (1, 0, 1, 0), (3, 1, 1, 0, 0),
+                (0, 2, 2, 2), "abca", (5, 5, 5, 5, 5)]:
+        got = list(distinct_permutations(seq))
+        assert got == sorted(set(itertools.permutations(seq))), seq

@@ -339,6 +339,14 @@ def test_product_just_below_the_bound_stays_exact():
     assert (x ** 127).evaluate([2] + [0] * 7) == 2 ** 127
 
 
+def test_monomials_up_to_lists_every_small_monomial():
+    for ring, max_deg in [(PolyRing(Alphabet("x"), 1), 5),
+                          (PolyRing(AB, 1), 3), (inv(2).ring, 3)]:
+        box = itertools.product(range(max_deg + 1), repeat=ring.nvars)
+        expected = sorted(ring.pack(e) for e in box if sum(e) <= max_deg)
+        assert ring.monomials_up_to(max_deg) == expected
+
+
 def test_pack_rejects_an_exponent_at_the_bound():
     ring = inv(2).ring
     assert ring.unpack(ring.pack([127, 0, 127]))[:4] == (127, 0, 127, 0)

@@ -68,6 +68,11 @@ def test_m_to_e_has_no_weight_cap():
     assert m_to_e((200,), 1).terms == {(1,) * 200: 1}
 
 
+def test_m_to_e_in_many_variables():
+    # m_21 = e_1 e_2 - 3 e_3; its orbit has 132 monomials out of 12! orderings
+    assert m_to_e((2, 1), 12).terms == {(2, 1): 1, (3,): -3}
+
+
 def test_to_monomials_mixed_weights():
     terms = {(2, 1): 3, (1,): -1, (3, 3): 2}
     expected = {}

@@ -6,7 +6,7 @@ from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import DPMonomial, GammaElement, enumerate_dp_monomials
 from dpinv.invariants import MatrixInvariants
 from dpinv.theorems import (TauLeaf, TauProduct, TauSum, _random_unimodular,
-                            abelianized_piece, multidegrees,
+                            _sub_multidegrees, abelianized_piece, multidegrees,
                             reduce_to_single_generators,
                             verify_cayley_hamilton, verify_plethysm,
                             verify_plethysm_cell,
@@ -29,6 +29,13 @@ def test_multidegree_order():
             expected = sorted((d for d in box if lo <= sum(d) <= hi),
                               key=lambda d: (sum(d), d))
             assert multidegrees(nletters, hi, lo) == expected
+
+
+def test_sub_multidegrees_order():
+    # the (|e|, e) order fixes the row order of the relation matrices
+    for d in [(), (0,), (3,), (2, 0), (1, 3), (2, 1, 2)]:
+        box = itertools.product(*(range(x + 1) for x in d))
+        assert _sub_multidegrees(d) == sorted(box, key=lambda e: (sum(e), e))
 
 
 def test_abelianized_piece_examples():
