@@ -213,13 +213,8 @@ def enumerate_necklaces(
 
 def words_of_multidegree(d: tuple[int, ...]) -> list[Word]:
     """All words of multidegree exactly d, in lex order."""
-    total = sum(d)
-    out = []
-    for letters in itertools.product(range(len(d)), repeat=total):
-        w = Word(letters)
-        if w.multidegree(len(d)) == d:
-            out.append(w)
-    return out
+    letters = [a for a, k in enumerate(d) for _ in range(k)]
+    return [Word(p) for p in distinct_permutations(letters)]
 
 
 def distinct_permutations(seq) -> Iterator[tuple]:
@@ -241,6 +236,51 @@ def distinct_permutations(seq) -> Iterator[tuple]:
             j -= 1
         p[i], p[j] = p[j], p[i]
         p[i + 1:] = reversed(p[i + 1:])
+
+
+def compositions(total: int, nparts: int) -> Iterator[tuple[int, ...]]:
+    """Every nparts-tuple of non-negative ints summing to total, lex order."""
+    if nparts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, nparts - 1):
+            yield (first,) + rest
+
+
+def multisets(degs: list[tuple[int, ...]], d: tuple[int, ...],
+              max_count: int | None = None
+              ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every multiset of items whose degrees sum to d.
+
+    Item k has the nonzero degree vector ``degs[k]``.  A choice is the
+    tuple of ``(k, e_k)`` with ``e_k >= 1`` on increasing k and
+    ``sum e_k * degs[k] == d``; with ``max_count`` also
+    ``sum e_k <= max_count``.  Choices come out earlier items first and
+    larger exponents first, and only items that still fit the remainder
+    are recursed on.
+    """
+    if not all(any(x) for x in degs):
+        raise ValueError("every item needs a nonzero degree")
+    picked: list[tuple[int, int]] = []
+
+    def rec(start: int, rem: tuple[int, ...], left: int | None):
+        if not any(rem):
+            yield tuple(picked)
+            return
+        for k in range(start, len(degs)):
+            dk = degs[k]
+            emax = min(r // x for r, x in zip(rem, dk) if x)
+            if left is not None:
+                emax = min(emax, left)
+            for e in range(emax, 0, -1):
+                picked.append((k, e))
+                yield from rec(k + 1, tuple(r - e * x for r, x in zip(rem, dk)),
+                               None if left is None else left - e)
+                picked.pop()
+
+    yield from rec(0, tuple(d), max_count)
 
 
 class FreePoly(Terms):

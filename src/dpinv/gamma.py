@@ -19,7 +19,8 @@ import math
 from typing import Iterable, Iterator
 
 from .backend import Terms, poly_add_scaled
-from .freering import Alphabet, FreePoly, ParseError, Word, format_signed_sum
+from .freering import (Alphabet, FreePoly, ParseError, Word, compositions,
+                       enumerate_words, format_signed_sum, multisets)
 
 
 class ContextError(ValueError):
@@ -302,16 +303,6 @@ def rho_n(g: GammaElement) -> GammaElement:
                         n - 1)
 
 
-def _compositions(total: int, nparts: int) -> Iterator[tuple[int, ...]]:
-    if nparts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, nparts - 1):
-            yield (first,) + rest
-
-
 def dp_expand(f: FreePoly, k: int) -> GammaElement:
     """k-th divided power of an augmentation-ideal element, expanded.
 
@@ -327,7 +318,7 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
     words = f.words()
     coeffs = [f.terms[w] for w in words]
     terms: dict[DPMonomial, int] = {}
-    for xi in _compositions(k, len(words)):
+    for xi in compositions(k, len(words)):
         mono = DPMonomial((w, e) for w, e in zip(words, xi) if e)
         terms[mono] = math.prod(cw ** e for cw, e in zip(coeffs, xi))
     return GammaElement(terms, None)
@@ -392,37 +383,11 @@ def enumerate_dp_monomials(d: tuple[int, ...],
 @functools.lru_cache(maxsize=1024)
 def _dp_monomial_slice(d: tuple[int, ...],
                        max_weight: int | None) -> tuple[DPMonomial, ...]:
-    from .freering import enumerate_words
-
     nletters = len(d)
-    if all(x == 0 for x in d):
-        return (DPMonomial.one(),)
-    words = [w for w in enumerate_words(nletters, max_multidegree=d)]
+    words = enumerate_words(nletters, max_multidegree=d)
     degs = [w.multidegree(nletters) for w in words]
-    out: list[DPMonomial] = []
-
-    def rec(i: int, rem: tuple[int, ...], wleft: int | None,
-            picked: list[tuple[Word, int]]) -> None:
-        if all(x == 0 for x in rem):
-            out.append(DPMonomial(picked))
-            return
-        if i == len(words):
-            return
-        wd = degs[i]
-        emax = min((r // x for r, x in zip(rem, wd) if x), default=0)
-        if wleft is not None:
-            emax = min(emax, wleft)
-        for e in range(emax, -1, -1):
-            if e:
-                picked.append((words[i], e))
-            rec(i + 1,
-                tuple(r - e * x for r, x in zip(rem, wd)),
-                None if wleft is None else wleft - e,
-                picked)
-            if e:
-                picked.pop()
-
-    rec(0, d, max_weight, [])
+    out = [DPMonomial((words[k], e) for k, e in picks)
+           for picks in multisets(degs, d, max_weight)]
     out.sort(key=DPMonomial.sort_key)
     return tuple(out)
 

@@ -30,9 +30,10 @@ from itertools import combinations
 from operator import mul, or_
 
 from .backend import Terms, poly_add_scaled, poly_mul
-from .freering import (Alphabet, FreePoly, Word, distinct_permutations,
-                       enumerate_necklaces, enumerate_words, format_signed_sum)
-from .gamma import ContextError, DPMonomial, GammaElement, _compositions
+from .freering import (Alphabet, FreePoly, Word, compositions,
+                       distinct_permutations, enumerate_necklaces,
+                       enumerate_words, format_signed_sum, multisets)
+from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = 8
 _MASK = (1 << _WIDTH) - 1
@@ -105,7 +106,7 @@ class PolyRing:
             raise OverflowError(
                 f"degree {max_deg} is not below the packing's bound {_BOUND}")
         return sorted(self.pack(exps) for total in range(max_deg + 1)
-                      for exps in _compositions(total, self.nvars))
+                      for exps in compositions(total, self.nvars))
 
     def monomial_values(self, keys, values) -> dict[int, int]:
         """Value at the integer point ``values`` of every given packed key.
@@ -475,40 +476,22 @@ class MatrixInvariants:
         nletters = len(self.alphabet)
         if len(d) != nletters:
             raise ValueError("multidegree length must match the alphabet")
-        if all(x == 0 for x in d):
-            return [CommPoly.const(self.ring, 1)]
-        cands: list[tuple[Word, int, tuple[int, ...]]] = []
-        for nec in enumerate_necklaces(nletters, max_multidegree=d):
-            wd = nec.rep.multidegree(nletters)
-            for i in range(1, self.n + 1):
-                scaled = tuple(i * x for x in wd)
-                if all(a <= b for a, b in zip(scaled, d)):
-                    cands.append((nec.rep, i, scaled))
+        cands = [(nec.rep, i)
+                 for nec in enumerate_necklaces(nletters, max_multidegree=d)
+                 for i in range(1, self.n + 1)]
+        degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
         out: list[CommPoly] = []
         seen: set[tuple] = set()
-
-        def emit(p: CommPoly) -> None:
+        # distinct choices can give equal products: e_1(x) e_1(y) == e_1(xy)
+        # at n=1
+        for picks in multisets(degs, d):
+            p = reduce(mul, (self.e_poly(*cands[k])
+                             for k, e in picks for _ in range(e)),
+                       CommPoly.const(self.ring, 1))
             key = tuple(sorted(p.terms.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(p)
-
-        def rec(idx: int, rem: tuple[int, ...], acc: CommPoly) -> None:
-            if all(x == 0 for x in rem):
-                emit(acc)
-                return
-            if idx == len(cands):
-                return
-            rec(idx + 1, rem, acc)
-            w, i, scaled = cands[idx]
-            cur = acc
-            left = rem
-            while all(a <= b for a, b in zip(scaled, left)):
-                cur = cur * self.e_poly(w, i)
-                left = tuple(b - a for a, b in zip(scaled, left))
-                rec(idx + 1, left, cur)
-
-        rec(0, d, CommPoly.const(self.ring, 1))
         return out
 
     def covariant_span(self, d: tuple[int, ...]) -> list[MatrixPoly]:

@@ -29,7 +29,7 @@ import itertools
 
 from .backend import poly_add_scaled, poly_mul
 from .freering import (FreePoly, ParseError, distinct_permutations,
-                       format_signed_sum)
+                       format_signed_sum, multisets)
 from .gamma import GammaElement, dp_expand, tau
 
 Partition = tuple[int, ...]
@@ -47,22 +47,10 @@ def check_partition(alpha) -> Partition:
 def partitions(weight: int, max_parts: int | None = None,
                max_part: int | None = None) -> list[Partition]:
     """Partitions of the given weight, largest-first order."""
-    out: list[Partition] = []
-
-    def rec(rem: int, largest: int, acc: list[int]) -> None:
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if max_parts is not None and len(acc) >= max_parts:
-            return
-        for part in range(min(rem, largest), 0, -1):
-            acc.append(part)
-            rec(rem - part, part, acc)
-            acc.pop()
-
     top = weight if max_part is None else min(weight, max_part)
-    rec(weight, top, [])
-    return out
+    return [sum(((top - k,) * e for k, e in picks), ())
+            for picks in multisets([(p,) for p in range(top, 0, -1)],
+                                   (weight,), max_parts)]
 
 
 def conjugate(alpha: Partition) -> Partition:

@@ -13,8 +13,8 @@ from math import prod
 
 from .backend import poly_add_scaled
 from .exactla import ExactMatrix
-from .freering import Alphabet, FreePoly, Word, enumerate_words
-from .gamma import (DPMonomial, GammaElement, _compositions, dp_expand,
+from .freering import Alphabet, FreePoly, Word, compositions, enumerate_words
+from .gamma import (DPMonomial, GammaElement, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
 from .invariants import MatrixInvariants
@@ -58,7 +58,7 @@ def multidegrees(nletters: int, max_total: int,
                  min_total: int = 0) -> list[tuple[int, ...]]:
     """All multidegrees with min_total <= |d| <= max_total, by (|d|, d)."""
     return [d for total in range(min_total, max_total + 1)
-            for d in _compositions(total, nletters)]
+            for d in compositions(total, nletters)]
 
 
 def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -116,13 +116,13 @@ def abelianized_piece(n: int, d: tuple[int, ...]
 
 def _random_unimodular(rng: random.Random, n: int
                        ) -> tuple[list[list[int]], list[list[int]]]:
-    """A random product of elementary integer matrices and its inverse."""
+    """A product of one elementary integer matrix per ordered pair of
+    distinct indices, in random order, and its inverse."""
     g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ginv = [row[:] for row in g]
-    for _ in range(rng.randint(3, 6)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng.shuffle(pairs)
+    for i, j in pairs:
         c = rng.choice((-2, -1, 1, 2))
         # row j += c * row i on g; the inverse undoes it on the columns
         for k in range(n):

@@ -4,10 +4,11 @@ from math import gcd
 import pytest
 
 from dpinv.freering import (Alphabet, FreePoly, Necklace, ParseError, Word,
-                            cyclic_normal_form, distinct_permutations,
-                            enumerate_necklaces, enumerate_words,
-                            parse_freepoly, primitive_decompose,
-                            word_from_str, words_of_multidegree)
+                            compositions, cyclic_normal_form,
+                            distinct_permutations, enumerate_necklaces,
+                            enumerate_words, multisets, parse_freepoly,
+                            primitive_decompose, word_from_str,
+                            words_of_multidegree)
 
 AB = Alphabet("xy")
 
@@ -134,6 +135,74 @@ def test_enumerate_words_multidegree_bound():
 def test_words_of_multidegree():
     assert [word.to_str(AB) for word in words_of_multidegree((1, 1))] == ["xy", "yx"]
     assert words_of_multidegree((0, 0)) == [Word()]
+    for nletters in (2, 3):
+        for total in range(6):
+            for d in itertools.product(range(total + 1), repeat=nletters):
+                if sum(d) != total:
+                    continue
+                want = [Word(letters) for letters in
+                        itertools.product(range(nletters), repeat=total)
+                        if Word(letters).multidegree(nletters) == d]
+                assert words_of_multidegree(d) == want, d
+
+
+def multisets_oracle(degs, d, max_count=None):
+    """Filter every exponent vector with e_k * |degs[k]| <= |d|; list the
+    choices by descending exponent vector."""
+    found = []
+    for exps in itertools.product(*(range(sum(d) // sum(deg) + 1)
+                                    for deg in degs)):
+        total = tuple(sum(e * deg[j] for e, deg in zip(exps, degs))
+                      for j in range(len(d)))
+        if total == tuple(d) and (max_count is None or sum(exps) <= max_count):
+            found.append(exps)
+    found.sort(reverse=True)
+    return [tuple((k, e) for k, e in enumerate(exps) if e) for exps in found]
+
+
+MULTISET_CASES = [
+    ([(3,), (2,), (1,)], (6,)),
+    ([(1,), (2,), (4,)], (7,)),
+    ([(1, 0), (0, 1), (2, 0), (1, 1), (1, 1), (0, 2), (2, 1)], (2, 2)),
+    ([(0, 1), (1, 0), (1, 1)], (3, 2)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1),
+      (2, 0, 1)], (2, 1, 1)),
+    ([(1, 0, 1), (0, 2, 0)], (1, 2, 1)),
+    ([(1, 1)], (0, 0)),
+    ([], (0,)),
+    ([(2,)], (3,)),
+    ([(1, 1)], (1, 0)),
+    ([(1, 0, 0), (0, 0, 2)], (1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("degs, d", MULTISET_CASES)
+def test_multisets_match_the_filtered_product(degs, d):
+    for max_count in (None, 0, 1, 2, 3, 5):
+        assert list(multisets(degs, d, max_count)) == \
+            multisets_oracle(degs, d, max_count), max_count
+
+
+def test_multisets_edge_cases():
+    # a zero target has one empty choice, an unreachable one none
+    assert list(multisets([(1, 1), (2, 0)], (0, 0))) == [()]
+    assert list(multisets([(1, 1)], (0, 0), max_count=0)) == [()]
+    assert list(multisets([(2,)], (3,))) == []
+    assert list(multisets([(1,)], (3,), max_count=2)) == []
+    # earlier items first, larger exponents first: partitions come out
+    # largest-first, and the basis and span read the choices in this order
+    assert list(multisets([(3,), (2,), (1,)], (4,))) == \
+        [((0, 1), (2, 1)), ((1, 2),), ((1, 1), (2, 2)), ((2, 4),)]
+    with pytest.raises(ValueError):
+        list(multisets([(1,), (0,)], (2,)))
+
+
+def test_compositions():
+    for nparts in range(4):
+        for total in range(5):
+            want = [c for c in itertools.product(range(total + 1), repeat=nparts)
+                    if sum(c) == total]
+            assert list(compositions(total, nparts)) == want
 
 
 def fp(text):

@@ -244,6 +244,49 @@ def test_enumerate_dp_monomials():
     assert len(enumerate_dp_monomials((1, 1))) == 3
 
 
+def _geometric_product(degs, max_total, nvars):
+    """Coefficients of prod_k 1/(1 - x^degs[k]) up to total degree
+    max_total, as a truncated power series keyed by exponent tuples."""
+    cells = sorted((e for t in range(max_total + 1)
+                    for e in itertools.product(range(t + 1), repeat=nvars)
+                    if sum(e) == t), key=lambda e: e)
+    series = {e: int(not any(e)) for e in cells}
+    for deg in degs:
+        # ascending lex order: e - deg is already updated, so every power
+        # of x^deg is counted
+        for e in cells:
+            prev = tuple(a - b for a, b in zip(e, deg))
+            if all(a >= 0 for a in prev):
+                series[e] += series[prev]
+    return series
+
+
+def test_one_letter_basis_counts_partitions():
+    # a one-letter monomial is a partition of k into word lengths, with as
+    # many parts as its weight; by conjugation, partitions into at most n
+    # parts are those with parts <= n: prod_{i<=n} 1/(1 - q^i)
+    for n in range(1, 5):
+        at_most_n = _geometric_product([(i,) for i in range(1, n + 1)], 8, 1)
+        for k in range(9):
+            assert len(enumerate_dp_monomials((k,), n)) == at_most_n[(k,)], \
+                (k, n)
+    p = _geometric_product([(i,) for i in range(1, 9)], 8, 1)
+    assert [len(enumerate_dp_monomials((k,))) for k in range(9)] == \
+        [p[(k,)] for k in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
+def test_limit_basis_counts_match_the_word_generating_function():
+    # the limit-ring slice at d counts multisets of nonempty words of total
+    # multidegree d: the coefficient of x^d in prod_w 1/(1 - x^deg(w))
+    max_total = 6
+    degs = [(letters.count(0), letters.count(1))
+            for length in range(1, max_total + 1)
+            for letters in itertools.product(range(2), repeat=length)]
+    series = _geometric_product(degs, max_total, 2)
+    for d, count in series.items():
+        assert len(enumerate_dp_monomials(d)) == count, d
+
+
 def test_basis_memo_is_bounded_and_hands_out_copies():
     assert gamma._dp_monomial_slice.cache_info().maxsize is not None
     assert gamma.tau_monomials.cache_info().maxsize is not None

@@ -201,3 +201,16 @@ def test_partitions_enumeration():
     assert partitions(4, max_parts=2) == [(4,), (3, 1), (2, 2)]
     assert partitions(0) == [()]
     assert len(partitions(6)) == 11
+    # largest-first is descending lex order on the weakly decreasing parts;
+    # the oracle sorts every composition, read off its set of cut points
+    for weight in range(1, 9):
+        comps = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (weight,)))
+                 for r in range(weight)
+                 for cuts in itertools.combinations(range(1, weight), r)]
+        for max_parts in (None, 1, 2, 3):
+            for max_part in (None, 2, 4):
+                want = sorted({tuple(sorted(c, reverse=True)) for c in comps
+                               if (max_parts is None or len(c) <= max_parts)
+                               and (max_part is None or max(c) <= max_part)},
+                              reverse=True)
+                assert partitions(weight, max_parts, max_part) == want

@@ -136,13 +136,13 @@ def test_thm_222_strict_z():
 def test_spot_check_evaluates_pi_images(monkeypatch):
     # a pairing sending x^(1) to the entry x[x][1][1] instead of tr X keeps
     # every rank, so only conjugating the pi images can catch it; the span
-    # is frozen because it is built from the same pi_monomial.  One random
-    # conjugation can fix that entry, so the check must catch it on most
-    # seeds, not on every one
+    # is frozen because it is built from the same pi_monomial.  The random
+    # conjugation applies a row operation for every ordered pair of
+    # indices, so it moves that entry on every seed tried here
     genuine_span = MatrixInvariants.invariant_span
     genuine = MatrixInvariants.pi_monomial
     seeds = range(8)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         inv = MatrixInvariants.get(AB, n)
         span = genuine_span(inv, (1, 0))
         entry = inv.ring.var(inv.ring.x_index(0, 1, 1))
@@ -155,7 +155,7 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
         entries = [verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s) for s in seeds]
         assert {(e.lhs_rank, e.rhs_rank, e.kernel_rank)
                 for e in entries} == {(1, 1, 0)}, n
-        assert sum(not e.passed for e in entries) > len(seeds) // 2, n
+        assert not any(e.passed for e in entries), n
         monkeypatch.undo()
         assert all(verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s).passed
                    for s in seeds), n
