@@ -8,7 +8,7 @@ and the universal matrix-embedding ring of a presented ring.
 """
 
 from .backend import backend_name
-from .exactla import ExactMatrix, in_span, rank_of_rows
+from .exactla import ExactMatrix, in_span
 from .freering import (Alphabet, FreePoly, Necklace, ParseError, Word,
                        cyclic_normal_form, enumerate_necklaces,
                        enumerate_words, parse_freepoly, primitive_decompose,

@@ -1,5 +1,5 @@
-"""Kernels for the hot inner loops: sparse term merging, unit-pivot
-elimination and exact rank.
+"""Kernels for the hot inner loops: sparse term merging and sparse integer
+row elimination.
 
 Sparse polynomials are dicts mapping a packed monomial key (a non-negative
 int whose fixed-width bit fields hold the exponents) to a nonzero int
@@ -16,6 +16,10 @@ It is the one multiply loop over commutative monomials.
 combination-of-basis-keys type shares: sums, differences, negation,
 integer scaling, powers, equality and dense coefficient rows.
 
+``eliminate`` is the one elimination loop over ``{col: int}`` rows: rank
+counts its pivots, the Smith form takes its unit pivots, and span
+membership has it track each row's combination of the inputs.
+
 This is the only implementation of each kernel.  The module keeps its name
 and ``backend_name()`` because the benchmark harness traces
 ``dpinv.backend.poly_mul`` and ``dpinv.backend.bareiss_rank`` and records
@@ -24,6 +28,7 @@ the backend name with every sample.
 
 import heapq
 from itertools import compress, count, repeat
+from math import gcd
 from operator import contains
 
 
@@ -141,20 +146,43 @@ class Terms:
         return row
 
 
-def unit_pivot_reduce(rows):
-    """Split off the unit pivots of an integer matrix by sparse elimination.
+def sparse_row(row) -> dict:
+    """``{col: value}`` of the nonzero entries of a dense int row."""
+    return dict(zip(compress(count(), row), filter(None, row)))
 
-    Returns ``(units, rest, ncols)`` such that the matrix is equivalent over
-    Z to ``I_units`` (+) ``rest``, where ``rest`` is a dense matrix on its
-    ``ncols`` nonzero columns with no entry +-1.  Rank and every nonzero
-    elementary divisor are therefore those of ``rest`` plus ``units`` ones.
 
-    Rows are kept as sparse ``{col: value}`` dicts.  Each step takes the
-    shortest row holding a +-1, in the column of fewest rows, clears that
-    column from every other row by integer row operations and removes the
-    pivot row, which ``Smith(M) = [1] (+) Smith(M')`` allows once its column
-    is otherwise zero.  Zero rows and exact copies of a live row are dropped
-    as they appear.  Nothing is ever divided.
+def pivot_factors(p, a):
+    """``(s, f)`` with ``s*a == f*p`` and ``s != 0``, the multipliers of the
+    step ``r = s*r - f*top`` that clears r's entry a against top's pivot p:
+    ``s = 1, f = a*p`` at a unit p, else ``s = p/g, f = a/g`` with
+    ``g = gcd(p, a)``."""
+    if p == 1 or p == -1:
+        return 1, a * p
+    g = gcd(p, a)
+    return p // g, a // g
+
+
+def eliminate(rows, track=False, units_only=False):
+    """Sparse integer row elimination: the one loop behind rank, the Smith
+    form and span membership.
+
+    ``rows`` is an iterable of ``{col: int}`` dicts, which the loop takes
+    over and changes in place.  Returns ``(pivots, rest)``: the pivots in
+    the order taken, as ``(col, row, combo)``, and the live rows that are
+    left.  Each pivot row is nonzero at its col and zero at the col of
+    every earlier pivot.  With ``track``, ``combo`` is ``{input index:
+    int}`` and ``row == sum(combo[i] * rows[i])``; otherwise it is None.
+
+    While some live row holds a +-1, the loop takes the shortest such row,
+    in its unit column with the fewest live rows.  Otherwise it takes an
+    entry of least absolute value.  The pivot row leaves the live rows, and
+    every live row nonzero at the pivot column is cleared there by
+    ``r = s*r - f*top`` (``pivot_factors``).  Zero rows and exact copies of
+    a live row are dropped as they appear.  Without ``units_only`` no row
+    is left, and the number of pivots is the rank over Q.  With it, the
+    loop stops where no live row holds a +-1: every step was then unimodular
+    and ``Smith(M) == I_pivots (+) Smith(rest)``, because a unit pivot's
+    column is otherwise zero.
     """
     live = {}      # row id -> {col: nonzero value}
     buckets = {}   # hash of a row's items -> ids of live rows with that hash
@@ -187,34 +215,47 @@ def unit_pivot_reduce(rows):
         for k in r:
             nrows_in[k] -= 1
 
-    for i, row in enumerate(rows):
-        r = dict(zip(compress(count(), row), filter(None, row)))
+    for i, r in enumerate(rows):
         if admit(i, r):
             for k in r:
                 nrows_in[k] = nrows_in.get(k, 0) + 1
             if has_unit(r):
                 heap.append((len(r), i))
     heapq.heapify(heap)
+    combos = {i: {i: 1} for i in live} if track else None
 
-    units = 0
-    while heap:
-        length, i = heapq.heappop(heap)
-        top = live.get(i)
-        if top is None or len(top) != length:
-            continue            # stale entry: the row was changed or dropped
-        c, fewest = None, len(live) + 1
-        for k, v in top.items():
-            if (v == 1 or v == -1) and nrows_in[k] < fewest:
-                c, fewest = k, nrows_in[k]
+    pivots = []
+    while live:
+        c = None
+        while heap and c is None:
+            length, i = heapq.heappop(heap)
+            top = live.get(i)
+            if top is None or len(top) != length:
+                continue        # stale entry: the row was changed or dropped
+            fewest = len(live) + 1
+            for k, v in top.items():
+                if (v == 1 or v == -1) and nrows_in[k] < fewest:
+                    c, fewest = k, nrows_in[k]
         if c is None:
-            continue
-        s = top[c]
+            if units_only:
+                break
+            least = None
+            for j, r in live.items():
+                for k, v in r.items():
+                    if least is None or abs(v) < least:
+                        least, i, c = abs(v), j, k
+            top = live[i]
+        p = top[c]
         uncount(drop(i))
-        units += 1
+        top_combo = combos.pop(i) if track else None
+        pivots.append((c, top, top_combo))
         in_c = map(contains, live.values(), repeat(c))
         for j in list(compress(live.keys(), in_c)):   # live rows nonzero at c
             r = drop(j)
-            f = r[c] * s
+            s, f = pivot_factors(p, r[c])
+            if s != 1:
+                for k in r:
+                    r[k] *= s
             for k, v in top.items():
                 x = r.get(k, 0) - f * v
                 if x:
@@ -224,54 +265,23 @@ def unit_pivot_reduce(rows):
                 else:
                     del r[k]
                     nrows_in[k] -= 1
+            if track:
+                combo = combos[j]
+                if s != 1:
+                    for k in combo:
+                        combo[k] *= s
+                poly_add_scaled(combo, top_combo, -f)
             if not admit(j, r):
                 uncount(r)
+                if track:
+                    del combos[j]
             elif has_unit(r):
                 heapq.heappush(heap, (len(r), j))
-
-    used = sorted({k for r in live.values() for k in r})
-    rest = [[r.get(k, 0) for k in used] for r in live.values()]
-    return units, rest, len(used)
+    return pivots, list(live.values())
 
 
 def bareiss_rank(rows):
-    """Rank over Q of an integer matrix (list of equal-length int lists):
-    the unit pivots of ``unit_pivot_reduce``, then Bareiss on the rest."""
-    units, rest, _ = unit_pivot_reduce(rows)
-    return units + dense_bareiss_rank(rest)
-
-
-def dense_bareiss_rank(rows):
-    """Rank over Q of a dense integer matrix by fraction-free Bareiss
-    elimination: every intermediate entry is a minor of the input, and the
-    division by the previous pivot is exact."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        top = m[rank]
-        for i in range(rank + 1, nrows):
-            mi = m[i]
-            a = mi[col]
-            for j in range(col + 1, ncols):
-                mi[j] = (p * mi[j] - a * top[j]) // prev
-            mi[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over Q of an integer matrix given as dense int rows: the number
+    of pivots ``eliminate`` takes.  The name is kept for the benchmark's
+    tracing."""
+    return len(eliminate(map(sparse_row, rows))[0])

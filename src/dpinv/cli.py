@@ -182,7 +182,11 @@ def cmd_pi(args) -> int:
         print("error: the invariant image needs a truncated context "
               "(use | n=<level>)", file=sys.stderr)
         return 2
-    inv = MatrixInvariants.get(alphabet, g.level)
+    try:
+        inv = MatrixInvariants.get(alphabet, g.level)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(inv.pi_n_eval(g).to_str())
     return 0
 
@@ -192,6 +196,9 @@ def cmd_sym(args) -> int:
         sym = parse_sympoly(args.expr)
     except ParseError as err:
         _print_parse_error(args.expr, err)
+        return 2
+    except ValueError as err:    # a partition or basis element out of range
+        print(f"error: {err}", file=sys.stderr)
         return 2
     if sym.basis == "m":
         acc: dict = {}

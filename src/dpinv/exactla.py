@@ -1,23 +1,22 @@
 """Exact linear algebra over the integers, and span membership over Q.
 
-Rank and Smith normal form first split off the unit pivots of a matrix by
-sparse integer row elimination (``backend.unit_pivot_reduce``), which on the
-relation and pairing matrices of the graded checks usually leaves nothing.
-Whatever remains is handled densely: rank by fraction-free Bareiss
-elimination (Bareiss 1968, Math. Comp. 22), the Smith form by repeated gcd
-reduction.  Span membership (``in_span``) is sparse integer elimination
-whose rows carry their combinations of the input rows, so its certificates
-come out as ints; a Fraction appears only when the target needs a
-denominator.
+Rank, Smith normal form and span membership all run one sparse integer
+row elimination, ``backend.eliminate``.  Rank counts its pivots.  The
+Smith form takes only its unit pivots, which on the relation and pairing
+matrices of the graded checks leave nothing, and runs repeated gcd
+reduction on a dense copy of what remains.  Span membership has the loop
+carry each row's combination of the input rows and reduces the target
+against the pivots, so its certificates come out as ints; a Fraction
+appears only when the target needs a denominator.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from math import gcd
 
-from .backend import bareiss_rank, poly_add_scaled, unit_pivot_reduce
+from .backend import (bareiss_rank, eliminate, pivot_factors,
+                      poly_add_scaled, sparse_row)
 
 
 class ExactMatrix:
@@ -50,8 +49,6 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rank over Q."""
-        if not self.rows or self.ncols == 0:
-            return 0
         return bareiss_rank(self.rows)
 
     def smith_normal_form(self) -> list[int]:
@@ -62,16 +59,14 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def rank_of_rows(rows) -> int:
-    return ExactMatrix(rows).rank()
-
-
 def smith_divisors(rows: list[list[int]]) -> list[int]:
-    """Elementary divisors of an integer matrix: the unit pivots of
-    ``unit_pivot_reduce``, then repeated gcd reduction of the rest."""
-    units, m, ncols = unit_pivot_reduce(rows)
-    nrows = len(m)
-    divisors = [1] * units
+    """Elementary divisors of an integer matrix: a 1 for each unit pivot
+    of ``eliminate``, then repeated gcd reduction of the rows left."""
+    pivots, rest = eliminate(map(sparse_row, rows), units_only=True)
+    used = sorted({k for r in rest for k in r})
+    m = [[r.get(k, 0) for k in used] for r in rest]
+    nrows, ncols = len(m), len(used)
+    divisors = [1] * len(pivots)
     t = 0
     while t < nrows and t < ncols:
         pi = pj = -1
@@ -172,35 +167,32 @@ def in_span(rows, target) -> tuple[bool, list | None]:
     its denominator.
 
     Sparse integer elimination that carries row combinations (LaMacchia and
-    Odlyzko, CRYPTO '90).  Each pivot row ``r`` keeps ``{input id: int}``
-    with ``r == sum(combo[i] * rows[i])``.  A row's pivot is a +-1 entry
-    where it has one, else its entry of least absolute value; a unit pivot
-    clears its column by ``r -= f * top``, any other by the fraction-free
-    step ``r = p * r - a * top``, with p and a divided by their gcd.  Pivot
-    rows are kept reduced in every other pivot column, so one pass over a
-    row's pivot columns reduces it.  Only the target carries a scale:
-    ``t == d * target + sum(combo[i] * rows[i])``, and it is a member when
-    ``t`` reduces to zero, with certificate ``-combo / d``.
+    Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``.  Each pivot
+    row is zero at every earlier pivot column, so one pass over the pivots
+    in order clears the target there, by the same steps ``t = s*t - f*row``.
+    Only the target carries a scale: ``t == d * target + sum(combo[i] *
+    rows[i])``, and it is a member when ``t`` reduces to zero, with
+    certificate ``-combo / d``.
     """
     widths = set()
     sparse = [_sparse_row(r, widths) for r in rows]
     t = _sparse_row(target, widths)
     if len(widths) > 1:
         raise ValueError("dimension mismatch")
-    pivots = {}     # pivot column -> (row, combo), reduced in other pivots
-    for i, r in enumerate(sparse):
-        combo = {i: 1}
-        _reduce(r, combo, pivots)
-        if not r:
-            continue
-        c = _pivot_column(r)
-        p = r[c]
-        for top, top_combo in pivots.values():
-            if c in top:
-                _eliminate(top, top_combo, r, combo, p, top[c])
-        pivots[c] = (r, combo)
+    pivots, _ = eliminate(sparse, track=True)
     combo = {}
-    d = _reduce(t, combo, pivots)
+    d = 1
+    for c, top, top_combo in pivots:
+        if c in t:
+            s, f = pivot_factors(top[c], t[c])
+            if s != 1:
+                d *= s
+                for k in t:
+                    t[k] *= s
+                for k in combo:
+                    combo[k] *= s
+            poly_add_scaled(t, top, -f)
+            poly_add_scaled(combo, top_combo, -f)
     if t:
         return False, None
     coeffs = [-combo.get(i, 0) for i in range(len(sparse))]
@@ -221,41 +213,3 @@ def _sparse_row(row, widths: set) -> dict:
         keys = range(len(values))
         widths.add(len(values))
     return {k: v for k, v in zip(keys, map(operator.index, values)) if v}
-
-
-def _pivot_column(r: dict):
-    """A column where r holds +-1, else one of its least absolute value."""
-    best, least = None, 0
-    for k, v in r.items():
-        if v == 1 or v == -1:
-            return k
-        if best is None or abs(v) < least:
-            best, least = k, abs(v)
-    return best
-
-
-def _reduce(r: dict, combo: dict, pivots: dict) -> int:
-    """Clear every pivot column from r in one pass, applying the same
-    operations to combo; returns the scale that r was multiplied by."""
-    d = 1
-    for c in [c for c in r if c in pivots]:
-        top, top_combo = pivots[c]
-        d *= _eliminate(r, combo, top, top_combo, top[c], r[c])
-    return d
-
-
-def _eliminate(r: dict, combo: dict, top: dict, top_combo: dict,
-               p: int, a: int) -> int:
-    """Clear r's entry a against top's pivot p by ``r = s*r - f*top`` and
-    ``combo = s*combo - f*top_combo``, where ``s = p/g``, ``f = a/g`` and
-    g is gcd(p, a) with p's sign, so that ``s > 0``.  Returns s."""
-    g = gcd(p, a) if p > 0 else -gcd(p, a)
-    s, f = p // g, a // g
-    if s != 1:
-        for k in r:
-            r[k] *= s
-        for k in combo:
-            combo[k] *= s
-    poly_add_scaled(r, top, -f)
-    poly_add_scaled(combo, top_combo, -f)
-    return s

@@ -173,7 +173,9 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
                           ) -> VerifyEntry:
     inv = MatrixInvariants.get(alphabet, n)
     basis, rel = abelianized_piece(n, d)
-    rel_rank = rel.rank()
+    # under --strict-z the ranks of rel and pi are read off their Smith forms
+    torsion = tuple(rel.smith_normal_form()) if strict_z else None
+    rel_rank = len(torsion) if strict_z else rel.rank()
     lhs_rank = len(basis) - rel_rank
 
     span = inv.invariant_span(d)
@@ -185,19 +187,17 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     pi_rows = [p.coeff_vector(cols) for p in pi_polys]
     rhs_rank = ExactMatrix(span_rows, len(cols)).rank()
     pi_mat = ExactMatrix(pi_rows, len(cols))
-    pi_rank = pi_mat.rank()
+    pi_divisors = pi_mat.smith_normal_form() if strict_z else None
+    pi_rank = len(pi_divisors) if strict_z else pi_mat.rank()
     kernel_rank = len(basis) - pi_rank
 
     passed = (lhs_rank == rhs_rank) and (kernel_rank == rel_rank)
-    torsion = None
     if strict_z:
-        torsion = tuple(rel.smith_normal_form())
         if any(t != 1 for t in torsion):
             passed = False
         # the pi-image lattice must already contain the spanning set over Z
-        both = ExactMatrix(pi_rows + span_rows, len(cols))
-        if both.rank() != pi_rank or \
-                prod(pi_mat.smith_normal_form()) != prod(both.smith_normal_form()):
+        both = ExactMatrix(pi_rows + span_rows, len(cols)).smith_normal_form()
+        if len(both) != pi_rank or prod(pi_divisors) != prod(both):
             passed = False
     if seed is not None:
         if not _conjugation_spot_check(inv, pi_polys, d, seed, n):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from dpinv.cli import main
 
 
@@ -57,6 +59,18 @@ def test_sym_command(capsys):
     code, out, _ = run(capsys, "sym", "m[2]")
     assert code == 0
     assert out.strip() == "-2*e[2] + e[1,1]@2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("pi", "[|n=0]"), "matrix order must be at least 1"),
+    (("sym", "m[1,1,1]@2"), "m_(1, 1, 1) vanishes in 2 variables"),
+    (("sym", "e[3]@2"), "e_3 vanishes in 2 variables"),
+    (("sym", "m[1,2]"), "partition parts must be weakly decreasing"),
+])
+def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_all_pass_and_json(tmp_path, capsys):

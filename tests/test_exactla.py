@@ -4,8 +4,7 @@ from math import prod
 
 import pytest
 
-from dpinv.backend import unit_pivot_reduce
-from dpinv.exactla import ExactMatrix, in_span, rank_of_rows
+from dpinv.exactla import ExactMatrix, in_span
 
 
 def fraction_gauss_rank(rows):
@@ -84,7 +83,7 @@ def test_rank_examples():
     assert ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
     assert ExactMatrix([[2, 4], [3, 6]]).rank() == 1
     assert ExactMatrix([], ncols=5).rank() == 0
-    assert rank_of_rows([[0, 0], [0, 0]]) == 0
+    assert ExactMatrix([[0, 0], [0, 0]]).rank() == 0
 
 
 def test_rank_matches_fraction_gauss():
@@ -142,18 +141,9 @@ def test_smith_divisibility_chain_and_det():
             assert len(d) < n
 
 
-def test_unit_pivot_reduce_splits_off_units():
-    # clearing column 0 with the unit leaves 4 - 3*2 in column 1
-    assert unit_pivot_reduce([[1, 2], [3, 4]]) == (1, [[-2]], 1)
-    # without a unit entry only zero rows, copies and zero columns go
-    assert unit_pivot_reduce([[2, 0, 4], [0, 0, 0], [2, 0, 4], [6, 0, 8]]) \
-        == (0, [[2, 4], [6, 8]], 2)
-    assert unit_pivot_reduce([]) == (0, [], 0)
-
-
 def test_rank_and_smith_without_unit_entries():
-    # entries in {0, +-2, +-3, +-6}: the sparse pass finds no pivot, so the
-    # dense Bareiss and gcd loops do all the work
+    # entries in {0, +-2, +-3, +-6}: rank takes only fraction-free steps,
+    # and the Smith form leaves the whole matrix to the gcd loop
     cases = [
         ([[2, 0], [0, 3]], [1, 6]),
         ([[2, 4], [6, 8]], [2, 4]),

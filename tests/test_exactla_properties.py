@@ -1,7 +1,7 @@
-"""Property tests: exact rank against Fraction elimination, the Smith form
-against sympy and span membership against dense Fraction elimination, on
-random small integer matrices with and without unit entries, with repeated
-and zero rows."""
+"""Property tests: the pivots of the sparse elimination, exact rank against
+Fraction elimination, the Smith form against sympy and span membership
+against dense Fraction elimination, on random small integer matrices with
+and without unit entries, with repeated and zero rows."""
 
 from fractions import Fraction
 
@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
-from dpinv.backend import bareiss_rank  # noqa: E402
+from dpinv.backend import (bareiss_rank, eliminate,  # noqa: E402
+                           poly_add_scaled, sparse_row)
 from dpinv.exactla import ExactMatrix, in_span  # noqa: E402
 from test_exactla import fraction_gauss_rank, fraction_in_span  # noqa: E402
 
@@ -30,6 +31,26 @@ def matrices(draw):
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     copies = draw(st.lists(st.sampled_from(range(nrows)), max_size=2))
     return rows + [list(rows[i]) for i in copies]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.booleans())
+def test_eliminate_pivots_are_tracked_echelon_rows(rows, units_only):
+    pivots, rest = eliminate(map(sparse_row, rows), track=True,
+                             units_only=units_only)
+    cols = [c for c, _, _ in pivots]
+    for n, (c, row, combo) in enumerate(pivots):
+        rebuilt = {}
+        for i, x in combo.items():
+            poly_add_scaled(rebuilt, sparse_row(rows[i]), x)
+        assert rebuilt == row
+        assert row[c] and not any(k in row for k in cols[:n])
+    if units_only:
+        assert all(row[c] in (1, -1) for c, row, _ in pivots)
+        assert not any(v in (1, -1) for r in rest for v in r.values())
+        assert not any(k in r for r in rest for k in cols)
+    else:
+        assert rest == [] and len(pivots) == fraction_gauss_rank(rows)
 
 
 @settings(max_examples=300, deadline=None)
