@@ -16,8 +16,9 @@ It is the one multiply loop over commutative monomials.
 combination-of-basis-keys type shares: sums, differences, negation,
 integer scaling, powers, equality and dense coefficient rows.
 
-``eliminate`` is the one elimination loop over ``{col: int}`` rows: rank
-counts its pivots, the Smith form takes its unit pivots, and span
+``eliminate`` is the one elimination loop over ``{col: int}`` rows, and
+every step it takes keeps the row lattice: rank counts its pivots, the
+Smith form reads them off when it also runs column operations, and span
 membership has it track each row's combination of the inputs.
 
 This is the only implementation of each kernel.  The module keeps its name
@@ -27,9 +28,10 @@ the backend name with every sample.
 """
 
 import heapq
+from collections import defaultdict
+from collections.abc import Mapping
 from itertools import compress, count, repeat
-from math import gcd
-from operator import contains
+from operator import contains, index
 
 
 def backend_name() -> str:
@@ -147,47 +149,55 @@ class Terms:
 
 
 def sparse_row(row) -> dict:
-    """``{col: value}`` of the nonzero entries of a dense int row."""
-    return dict(zip(compress(count(), row), filter(None, row)))
+    """A fresh ``{col: int}`` dict of the nonzero entries of row, a mapping
+    or a dense sequence (read as a mapping on its positions).  An entry
+    that is not an int raises TypeError."""
+    if isinstance(row, Mapping):
+        return {k: v for k, v in zip(row.keys(), map(index, row.values()))
+                if v}
+    values = list(map(index, row))
+    return dict(zip(compress(count(), values), filter(None, values)))
 
 
-def pivot_factors(p, a):
-    """``(s, f)`` with ``s*a == f*p`` and ``s != 0``, the multipliers of the
-    step ``r = s*r - f*top`` that clears r's entry a against top's pivot p:
-    ``s = 1, f = a*p`` at a unit p, else ``s = p/g, f = a/g`` with
-    ``g = gcd(p, a)``."""
-    if p == 1 or p == -1:
-        return 1, a * p
-    g = gcd(p, a)
-    return p // g, a // g
-
-
-def eliminate(rows, track=False, units_only=False):
-    """Sparse integer row elimination: the one loop behind rank, the Smith
-    form and span membership.
+def eliminate(rows, track=False, smith=False):
+    """Sparse unimodular integer row elimination: the one loop behind rank,
+    the Smith form and span membership.
 
     ``rows`` is an iterable of ``{col: int}`` dicts, which the loop takes
-    over and changes in place.  Returns ``(pivots, rest)``: the pivots in
-    the order taken, as ``(col, row, combo)``, and the live rows that are
-    left.  Each pivot row is nonzero at its col and zero at the col of
-    every earlier pivot.  With ``track``, ``combo`` is ``{input index:
-    int}`` and ``row == sum(combo[i] * rows[i])``; otherwise it is None.
+    over and changes in place.  Returns the pivots in the order taken, as
+    ``(col, row, combo)``.  Each pivot row is nonzero at its col and zero at
+    the col of every earlier pivot, and their number is the rank; without
+    ``smith``, the pivot rows are a Z-basis of the row lattice.  With ``track``, ``combo`` is
+    ``{input index: int}`` and ``row == sum(combo[i] * rows[i])``;
+    otherwise it is None.
 
-    While some live row holds a +-1, the loop takes the shortest such row,
-    in its unit column with the fewest live rows.  Otherwise it takes an
-    entry of least absolute value.  The pivot row leaves the live rows, and
-    every live row nonzero at the pivot column is cleared there by
-    ``r = s*r - f*top`` (``pivot_factors``).  Zero rows and exact copies of
-    a live row are dropped as they appear.  Without ``units_only`` no row
-    is left, and the number of pivots is the rank over Q.  With it, the
-    loop stops where no live row holds a +-1: every step was then unimodular
-    and ``Smith(M) == I_pivots (+) Smith(rest)``, because a unit pivot's
-    column is otherwise zero.
+    While some live row holds a +-1, the loop picks the shortest such row,
+    in its unit column with the fewest live rows.  Otherwise it picks an
+    entry of least absolute value.  Every other live row r nonzero at the
+    pivot column c becomes ``r -= (r[c] // p) * top``.  If some row keeps a
+    (now smaller) entry at c, the pivot row stays live and the loop picks
+    again; else the pivot row leaves the live rows as a pivot.  Zero rows
+    and exact copies of a live row are dropped as they appear.
+
+    With ``smith`` (not with ``track``), ``abs(row[col])`` over the pivots
+    is the Smith form.  A non-unit pivot row that no other live row meets
+    at c is reduced modulo p off c, by column operations that change no
+    other live row.  It is taken only if that leaves no entry and p
+    divides every live entry; else the first row that breaks this is added
+    to it, it is reduced again, and it stays live.  A taken pivot is
+    cleared off c by column operations too, so Smith(M) is |p| followed by
+    the Smith form of the live rows.
+
+    Termination: order states by (live rows, least |entry|).  No step adds
+    a live row, and a pass that takes no pivot leaves an entry smaller
+    than the p it picked: a remainder at c, or the pivot row's remainder
+    modulo p, nonzero after a fold where the added row is not divisible
+    by p.
     """
     live = {}      # row id -> {col: nonzero value}
     buckets = {}   # hash of a row's items -> ids of live rows with that hash
     hashes = {}    # row id -> its bucket
-    nrows_in = {}  # col -> number of live rows that are nonzero there
+    nrows_in = defaultdict(int)  # col -> number of live rows nonzero there
     heap = []      # (length, row id) of rows that hold a +-1 entry
 
     def has_unit(r):
@@ -211,14 +221,24 @@ def eliminate(rows, track=False, units_only=False):
         buckets[hashes.pop(i)].remove(i)
         return live.pop(i)
 
-    def uncount(r):
+    def count_in(r, step):
         for k in r:
-            nrows_in[k] -= 1
+            nrows_in[k] += step
+
+    def readmit(i, r):
+        """Put the changed row r back as row i, or discard it."""
+        if not admit(i, r):
+            count_in(r, -1)
+            if track:
+                del combos[i]
+            return False
+        if has_unit(r):
+            heapq.heappush(heap, (len(r), i))
+        return True
 
     for i, r in enumerate(rows):
         if admit(i, r):
-            for k in r:
-                nrows_in[k] = nrows_in.get(k, 0) + 1
+            count_in(r, 1)
             if has_unit(r):
                 heap.append((len(r), i))
     heapq.heapify(heap)
@@ -237,8 +257,6 @@ def eliminate(rows, track=False, units_only=False):
                 if (v == 1 or v == -1) and nrows_in[k] < fewest:
                     c, fewest = k, nrows_in[k]
         if c is None:
-            if units_only:
-                break
             least = None
             for j, r in live.items():
                 for k, v in r.items():
@@ -246,18 +264,16 @@ def eliminate(rows, track=False, units_only=False):
                         least, i, c = abs(v), j, k
             top = live[i]
         p = top[c]
-        uncount(drop(i))
-        top_combo = combos.pop(i) if track else None
-        pivots.append((c, top, top_combo))
+        top_combo = combos[i] if track else None
+        kept = False    # some row keeps an entry at c
         in_c = map(contains, live.values(), repeat(c))
         for j in list(compress(live.keys(), in_c)):   # live rows nonzero at c
+            if j == i:
+                continue
             r = drop(j)
-            s, f = pivot_factors(p, r[c])
-            if s != 1:
-                for k in r:
-                    r[k] *= s
+            q = r[c] // p
             for k, v in top.items():
-                x = r.get(k, 0) - f * v
+                x = r.get(k, 0) - q * v
                 if x:
                     if k not in r:
                         nrows_in[k] += 1
@@ -266,22 +282,30 @@ def eliminate(rows, track=False, units_only=False):
                     del r[k]
                     nrows_in[k] -= 1
             if track:
-                combo = combos[j]
-                if s != 1:
-                    for k in combo:
-                        combo[k] *= s
-                poly_add_scaled(combo, top_combo, -f)
-            if not admit(j, r):
-                uncount(r)
-                if track:
-                    del combos[j]
-            elif has_unit(r):
-                heapq.heappush(heap, (len(r), j))
-    return pivots, list(live.values())
+                poly_add_scaled(combos[j], top_combo, -q)
+            if readmit(j, r) and c in r:
+                kept = True
+        if not kept and smith and p != 1 and p != -1:
+            rest = {k: v % p for k, v in top.items() if v % p}
+            if not rest:
+                bad = next((r for r in live.values()
+                            if any(v % p for v in r.values())), {})
+                rest = {k: v % p for k, v in bad.items() if v % p}
+            if rest:
+                count_in(drop(i), -1)
+                rest[c] = p
+                count_in(rest, 1)
+                readmit(i, rest)
+                kept = True
+        if kept:
+            continue
+        count_in(drop(i), -1)
+        pivots.append((c, top, combos.pop(i) if track else None))
+    return pivots
 
 
 def bareiss_rank(rows):
     """Rank over Q of an integer matrix given as dense int rows: the number
     of pivots ``eliminate`` takes.  The name is kept for the benchmark's
     tracing."""
-    return len(eliminate(map(sparse_row, rows))[0])
+    return len(eliminate(map(sparse_row, rows)))

@@ -261,7 +261,11 @@ def cmd_universal(args) -> int:
     except (ParseError, ValueError, KeyError) as err:
         print(f"error: bad presentation: {err}", file=sys.stderr)
         return 2
-    gens, images = build_An(pres, args.n)
+    try:
+        gens, images = build_An(pres, args.n)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     out = {
         "n": args.n,
         "generators": list(pres.alphabet.names),

@@ -1,22 +1,24 @@
 """Exact linear algebra over the integers, and span membership over Q.
 
-Rank, Smith normal form and span membership all run one sparse integer
-row elimination, ``backend.eliminate``.  Rank counts its pivots.  The
-Smith form takes only its unit pivots, which on the relation and pairing
-matrices of the graded checks leave nothing, and runs repeated gcd
-reduction on a dense copy of what remains.  Span membership has the loop
-carry each row's combination of the input rows and reduces the target
-against the pivots, so its certificates come out as ints; a Fraction
-appears only when the target needs a denominator.
+Rank, Smith normal form and span membership all run one sparse
+unimodular row elimination, ``backend.eliminate``, whose pivot rows are an
+echelon Z-basis of the row lattice.  Rank counts its pivots.  The Smith
+form is the absolute values of its pivots when it also reduces each
+non-unit pivot row by column operations and takes it only once it
+divides every row left.  Span membership has the loop carry each row's
+combination of the input rows and reduces the target against the
+pivots, so its certificate is all ints exactly when the target lies in
+the rows' Z-lattice; a Fraction appears only when the target needs a
+denominator.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
+from math import gcd
 
-from .backend import (bareiss_rank, eliminate, pivot_factors,
-                      poly_add_scaled, sparse_row)
+from .backend import bareiss_rank, eliminate, poly_add_scaled, sparse_row
 
 
 class ExactMatrix:
@@ -60,99 +62,10 @@ class ExactMatrix:
 
 
 def smith_divisors(rows: list[list[int]]) -> list[int]:
-    """Elementary divisors of an integer matrix: a 1 for each unit pivot
-    of ``eliminate``, then repeated gcd reduction of the rows left."""
-    pivots, rest = eliminate(map(sparse_row, rows), units_only=True)
-    used = sorted({k for r in rest for k in r})
-    m = [[r.get(k, 0) for k in used] for r in rest]
-    nrows, ncols = len(m), len(used)
-    divisors = [1] * len(pivots)
-    t = 0
-    while t < nrows and t < ncols:
-        pi = pj = -1
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j]:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            _clear_cross(m, t, nrows, ncols)
-            p = abs(m[t][t])
-            if p == 1:
-                break           # a unit divides every entry
-            bad = -1
-            for i in range(t + 1, nrows):
-                if any(m[i][j] % p for j in range(t + 1, ncols)):
-                    bad = i
-                    break
-            if bad < 0:
-                break
-            # fold the offending row into the pivot row; the next pass of
-            # gcd clearing strictly shrinks the pivot, so this terminates
-            for j in range(t, ncols):
-                m[t][j] += m[bad][j]
-        divisors.append(abs(m[t][t]))
-        t += 1
-    return divisors
-
-
-def _clear_cross(m: list[list[int]], t: int, nrows: int, ncols: int) -> None:
-    """Zero out row t and column t beyond the pivot via gcd row/col ops."""
-    while True:
-        for i in range(t + 1, nrows):
-            a = m[i][t]
-            if not a:
-                continue
-            p = m[t][t]
-            if a % p == 0:
-                q = a // p
-                for j in range(t, ncols):
-                    m[i][j] -= q * m[t][j]
-            else:
-                x, y, g = _xgcd(p, a)
-                pq, aq = p // g, a // g
-                for j in range(t, ncols):
-                    top, cur = m[t][j], m[i][j]
-                    m[t][j] = x * top + y * cur
-                    m[i][j] = -aq * top + pq * cur
-        for j in range(t + 1, ncols):
-            a = m[t][j]
-            if not a:
-                continue
-            p = m[t][t]
-            if a % p == 0:
-                q = a // p
-                for i in range(t, nrows):
-                    m[i][j] -= q * m[i][t]
-            else:
-                x, y, g = _xgcd(p, a)
-                pq, aq = p // g, a // g
-                for i in range(t, nrows):
-                    left, cur = m[i][t], m[i][j]
-                    m[i][t] = x * left + y * cur
-                    m[i][j] = -aq * left + pq * cur
-        if all(m[i][t] == 0 for i in range(t + 1, nrows)) and \
-                all(m[t][j] == 0 for j in range(t + 1, ncols)):
-            return
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+    """Elementary divisors of an integer matrix: the pivots of
+    ``eliminate`` with ``smith``."""
+    return [abs(row[c]) for c, row, _ in eliminate(map(sparse_row, rows),
+                                                     smith=True)]
 
 
 def in_span(rows, target) -> tuple[bool, list | None]:
@@ -162,54 +75,52 @@ def in_span(rows, target) -> tuple[bool, list | None]:
     column key, or dense int sequences of one common length (read as dicts
     on their positions).  Returns ``(True, c)`` with ``sum(c[i] * rows[i])
     == target`` and ``len(c) == len(rows)``, else ``(False, None)``.  The
-    certificate holds ints when the scale below divides every entry, and
-    Fractions otherwise, so a target that is a member only over Q shows
-    its denominator.
+    certificate is all ints exactly when target lies in the Z-lattice of
+    the rows, and all Fractions otherwise, so a target that is a member
+    only over Q shows its denominator.
 
     Sparse integer elimination that carries row combinations (LaMacchia and
-    Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``.  Each pivot
-    row is zero at every earlier pivot column, so one pass over the pivots
-    in order clears the target there, by the same steps ``t = s*t - f*row``.
-    Only the target carries a scale: ``t == d * target + sum(combo[i] *
-    rows[i])``, and it is a member when ``t`` reduces to zero, with
-    certificate ``-combo / d``.
+    Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``.  Its pivot
+    rows are an echelon Z-basis of the rows' lattice, each zero at every
+    earlier pivot column, so one pass over the pivots in order clears the
+    target there.  Where the pivot p divides the target's entry a, the
+    step is ``t -= (a // p) * row``; the target is in the Z-lattice exactly
+    when every step is of this kind and ``t`` reduces to zero.  Otherwise,
+    for membership over Q, the target takes the scale ``s = p / gcd(p,
+    a)``: ``t = s*t - (a / gcd(p, a))*row``.  So ``t == d * target +
+    sum(combo[i] * rows[i])``, and the target is a member when ``t``
+    reduces to zero, with certificate ``-combo / d``.
     """
-    widths = set()
-    sparse = [_sparse_row(r, widths) for r in rows]
-    t = _sparse_row(target, widths)
-    if len(widths) > 1:
+    rows = list(rows)
+    if len({len(r) for r in (*rows, target)
+            if not isinstance(r, Mapping)}) > 1:
         raise ValueError("dimension mismatch")
-    pivots, _ = eliminate(sparse, track=True)
+    t = sparse_row(target)
+    pivots = eliminate(map(sparse_row, rows), track=True)
     combo = {}
     d = 1
     for c, top, top_combo in pivots:
-        if c in t:
-            s, f = pivot_factors(top[c], t[c])
-            if s != 1:
-                d *= s
-                for k in t:
-                    t[k] *= s
-                for k in combo:
-                    combo[k] *= s
-            poly_add_scaled(t, top, -f)
-            poly_add_scaled(combo, top_combo, -f)
+        a = t.get(c)
+        if a is None:
+            continue
+        p = top[c]
+        if a % p:
+            g = gcd(p, a)
+            s, a = p // g, a // g
+            d *= s
+            for k in t:
+                t[k] *= s
+            for k in combo:
+                combo[k] *= s
+        else:
+            a //= p
+        poly_add_scaled(t, top, -a)
+        poly_add_scaled(combo, top_combo, -a)
     if t:
         return False, None
-    coeffs = [-combo.get(i, 0) for i in range(len(sparse))]
-    if all(c % d == 0 for c in coeffs):
-        return True, [c // d for c in coeffs]
+    coeffs = [-combo.get(i, 0) for i in range(len(rows))]
+    if d == 1:
+        return True, coeffs
     from fractions import Fraction
 
     return True, [Fraction(c, d) for c in coeffs]
-
-
-def _sparse_row(row, widths: set) -> dict:
-    """A fresh ``{column: int}`` dict of the nonzero entries of row, a
-    mapping or a dense sequence (whose length goes into widths)."""
-    if isinstance(row, Mapping):
-        keys, values = row.keys(), row.values()
-    else:
-        values = list(row)
-        keys = range(len(values))
-        widths.add(len(values))
-    return {k: v for k, v in zip(keys, map(operator.index, values)) if v}

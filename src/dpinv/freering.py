@@ -41,6 +41,9 @@ class Alphabet:
 
     @classmethod
     def default(cls, k: int) -> "Alphabet":
+        """The first k letters of the pool, for 1 <= k <= its size."""
+        if k < 1:
+            raise ValueError(f"need at least one letter, not {k}")
         if k > len(_LETTER_POOL):
             raise ValueError(f"at most {len(_LETTER_POOL)} letters supported")
         return cls(_LETTER_POOL[:k])

@@ -35,6 +35,8 @@ class Presentation:
 def load_presentation(data: dict) -> Presentation:
     """Build a presentation from the JSON shape
     {"generators": ["x", "y"], "relations": ["x*y - y*x - 1"]}."""
+    if not isinstance(data, dict):
+        raise ValueError("presentation must be a JSON object")
     gens = data.get("generators")
     if not gens:
         raise ValueError("presentation needs at least one generator")
@@ -96,8 +98,8 @@ def ideal_membership(gens: list[CommPoly], target: CommPoly, max_deg: int
     multiplier monomials within the degree bound.
 
     Membership is over Q.  The certificate has one coefficient per element
-    of ``ideal_piece(gens, max_deg)``, in that order: ints, or Fractions
-    when the elimination reaches target only with a denominator (see
+    of ``ideal_piece(gens, max_deg)``, in that order: ints exactly when
+    target lies in the Z-span of that piece, and Fractions otherwise (see
     ``exactla.in_span``)."""
     span = ideal_piece(gens, max_deg)
     return in_span([p.terms for p in span], target.terms)

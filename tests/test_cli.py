@@ -73,6 +73,16 @@ def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_negative_letter_count_is_a_clear_error(capsys):
+    # it sliced the letter pool from its end and ran over 25 letters
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "[x^(1)|lim]", "[x^(1)|lim]", "--letters", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one letter, not -1\n"
+
+
 def test_verify_all_pass_and_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--thm", "2.2.2", "--n", "2",
@@ -197,3 +207,18 @@ def test_universal_bad_presentation(tmp_path, capsys):
     code, _, err = run(capsys, "universal", str(bad), "--n", "1")
     assert code == 2
     assert "bad presentation" in err
+
+
+@pytest.mark.parametrize("text, n, message", [
+    ("[1, 2]", "1", "bad presentation: presentation must be a JSON object"),
+    ('{"generators": ["x"], "relations": ["x^2"]}', "0",
+     "matrix order must be at least 1"),
+])
+def test_universal_bad_input_is_a_clear_error(tmp_path, capsys, text, n,
+                                              message):
+    # both ended in a traceback
+    pres = tmp_path / "pres.json"
+    pres.write_text(text)
+    code, out, err = run(capsys, "universal", str(pres), "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -142,8 +142,9 @@ def test_smith_divisibility_chain_and_det():
 
 
 def test_rank_and_smith_without_unit_entries():
-    # entries in {0, +-2, +-3, +-6}: rank takes only fraction-free steps,
-    # and the Smith form leaves the whole matrix to the gcd loop
+    # entries in {0, +-2, +-3, +-6}: no pivot is a unit at first, so the
+    # elimination divides with remainder until one is, and the Smith form
+    # folds rows into a pivot that does not divide them
     cases = [
         ([[2, 0], [0, 3]], [1, 6]),
         ([[2, 4], [6, 8]], [2, 4]),
@@ -151,6 +152,9 @@ def test_rank_and_smith_without_unit_entries():
         ([[6, 6], [0, 0], [6, 6], [2, -2]], [2, 12]),
         ([[2, -6, 6], [3, -6, 0], [-2, 6, -6]], [1, 6]),
         ([[2, 0, 6], [3, 0, 9]], [1]),
+        # the pivot 2 has a 3 beside it, which the modulo step keeps; a
+        # fold of (0, 0, 3) in its place would give [1, 6]
+        ([[0, 0, 3], [2, 3, 0]], [1, 3]),
         ([[0, 0], [0, 0]], []),
     ]
     for rows, divisors in cases:
@@ -220,11 +224,22 @@ def test_in_span_sparse_rows_with_any_keys():
 def test_in_span_reports_the_denominator_of_a_rational_member():
     ok, cert = in_span([{0: 2}], {0: 1})
     assert ok and cert == [Fraction(1, 2)]
-    # no unit entry anywhere: fraction-free steps, then an exact division
+    # no unit entry anywhere, yet the target is in the Z-lattice
     ok, cert = in_span([[2, 3], [3, -2]], [5, 1])
     assert ok and cert == [1, 1] and all(type(c) is int for c in cert)
     ok, cert = in_span([[2, 0], [0, 3]], [1, 1])
     assert ok and cert == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def test_in_span_certificate_is_integral_on_the_lattice():
+    # 1 = -2 + 3: a member of the rows' Z-lattice gets an int certificate
+    # although no row divides it
+    ok, cert = in_span([[2], [3]], [1])
+    assert ok and cert == [-1, 1] and all(type(c) is int for c in cert)
+    ok, cert = in_span([[4, 6], [6, 9], [2, 4]], [0, 1])
+    assert ok and all(type(c) is int for c in cert)
+    assert [sum(c * r[j] for c, r in zip(cert, [[4, 6], [6, 9], [2, 4]]))
+            for j in range(2)] == [0, 1]
 
 
 def test_in_span_empty_and_zero_cases():

@@ -1,9 +1,11 @@
 """Property tests: the pivots of the sparse elimination, exact rank against
 Fraction elimination, the Smith form against sympy and span membership
-against dense Fraction elimination, on random small integer matrices with
-and without unit entries, with repeated and zero rows."""
+against dense Fraction elimination and, for integral certificates, against
+sympy's Smith form, on random small integer matrices with and without unit
+entries, with repeated and zero rows."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -19,7 +21,8 @@ from dpinv.backend import (bareiss_rank, eliminate,  # noqa: E402
 from dpinv.exactla import ExactMatrix, in_span  # noqa: E402
 from test_exactla import fraction_gauss_rank, fraction_in_span  # noqa: E402
 
-# entries without +-1 leave the whole matrix to the dense remainder loops
+# entries without +-1 make every pivot a non-unit, found by repeated
+# division steps, and leave the Smith form its folds
 NO_UNITS = st.sampled_from([0, 2, -2, 3, -3, 6, -6])
 
 
@@ -33,11 +36,15 @@ def matrices(draw):
     return rows + [list(rows[i]) for i in copies]
 
 
+def sympy_divisors(rows):
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    return [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+
+
 @settings(max_examples=300, deadline=None)
-@given(matrices(), st.booleans())
-def test_eliminate_pivots_are_tracked_echelon_rows(rows, units_only):
-    pivots, rest = eliminate(map(sparse_row, rows), track=True,
-                             units_only=units_only)
+@given(matrices())
+def test_eliminate_pivots_are_tracked_echelon_rows(rows):
+    pivots = eliminate(map(sparse_row, rows), track=True)
     cols = [c for c, _, _ in pivots]
     for n, (c, row, combo) in enumerate(pivots):
         rebuilt = {}
@@ -45,12 +52,12 @@ def test_eliminate_pivots_are_tracked_echelon_rows(rows, units_only):
             poly_add_scaled(rebuilt, sparse_row(rows[i]), x)
         assert rebuilt == row
         assert row[c] and not any(k in row for k in cols[:n])
-    if units_only:
-        assert all(row[c] in (1, -1) for c, row, _ in pivots)
-        assert not any(v in (1, -1) for r in rest for v in r.values())
-        assert not any(k in r for r in rest for k in cols)
-    else:
-        assert rest == [] and len(pivots) == fraction_gauss_rank(rows)
+    assert len(pivots) == fraction_gauss_rank(rows)
+    # every step is unimodular, so the pivot rows, a sublattice of the same
+    # rank, have the rows' divisors: they are a Z-basis of the row lattice
+    basis = [[row.get(k, 0) for k in range(len(rows[0]))]
+             for _, row, _ in pivots]
+    assert sympy_divisors(basis) == sympy_divisors(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -62,9 +69,7 @@ def test_rank_matches_fraction_gauss(rows):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_smith_matches_sympy(rows):
-    snf = smith_normal_form(Matrix(rows), domain=ZZ)
-    expected = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
-    assert ExactMatrix(rows).smith_normal_form() == expected
+    assert ExactMatrix(rows).smith_normal_form() == sympy_divisors(rows)
 
 
 @st.composite
@@ -109,3 +114,15 @@ def test_in_span_matches_fraction_oracle(problem, form):
     rebuilt = [sum(c * r[j] for c, r in zip(cert, rows))
                for j in range(len(target))]
     assert rebuilt == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_problems())
+def test_in_span_certificate_is_integral_exactly_on_the_lattice(problem):
+    # the target is in the rows' Z-lattice iff adding it to the rows keeps
+    # their rank and the product of their elementary divisors
+    rows, target = problem
+    ok, cert = in_span(rows, target)
+    before, after = sympy_divisors(rows), sympy_divisors(rows + [target])
+    on_lattice = len(before) == len(after) and prod(before) == prod(after)
+    assert (ok and all(type(c) is int for c in cert)) == on_lattice
