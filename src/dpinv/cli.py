@@ -18,7 +18,7 @@ from functools import partial
 
 from .backend import poly_add_scaled
 from .freering import Alphabet, ParseError, parse_freepoly
-from .gamma import ContextError, format_gamma, parse_gamma, tau
+from .gamma import format_gamma, parse_gamma, tau
 from .invariants import MatrixInvariants
 from .symfunc import SymPoly, format_sympoly, m_to_e, parse_sympoly
 from .theorems import (VerifyEntry, multidegrees, verify_cayley_hamilton,
@@ -145,16 +145,8 @@ def _report_text(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _session_alphabet(letters: int) -> Alphabet:
-    try:
-        return Alphabet.default(letters)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def cmd_tau(args) -> int:
-    alphabet = _session_alphabet(args.letters)
+    alphabet = Alphabet.default(args.letters)
     operands = []
     for text in (args.lhs, args.rhs):
         try:
@@ -162,17 +154,12 @@ def cmd_tau(args) -> int:
         except ParseError as err:
             _print_parse_error(text, err)
             return 2
-    try:
-        result = tau(*operands)
-    except ContextError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(format_gamma(result, alphabet))
+    print(format_gamma(tau(*operands), alphabet))
     return 0
 
 
 def cmd_pi(args) -> int:
-    alphabet = _session_alphabet(args.letters)
+    alphabet = Alphabet.default(args.letters)
     try:
         g = parse_gamma(args.element, alphabet)
     except ParseError as err:
@@ -182,12 +169,7 @@ def cmd_pi(args) -> int:
         print("error: the invariant image needs a truncated context "
               "(use | n=<level>)", file=sys.stderr)
         return 2
-    try:
-        inv = MatrixInvariants.get(alphabet, g.level)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(inv.pi_n_eval(g).to_str())
+    print(MatrixInvariants.get(alphabet, g.level).pi_n_eval(g).to_str())
     return 0
 
 
@@ -196,9 +178,6 @@ def cmd_sym(args) -> int:
         sym = parse_sympoly(args.expr)
     except ParseError as err:
         _print_parse_error(args.expr, err)
-        return 2
-    except ValueError as err:    # a partition or basis element out of range
-        print(f"error: {err}", file=sys.stderr)
         return 2
     if sym.basis == "m":
         acc: dict = {}
@@ -210,11 +189,7 @@ def cmd_sym(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        n_list = _parse_n_list(args.n)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    n_list = _parse_n_list(args.n)
     thms = THEOREMS if args.thm == "all" else tuple(args.thm.split(","))
     for t in thms:
         if t not in THEOREMS:
@@ -222,7 +197,7 @@ def cmd_verify(args) -> int:
                   f"{', '.join(THEOREMS)}", file=sys.stderr)
             return 2
     cfg = {
-        "letters": "".join(_session_alphabet(args.letters).names),
+        "letters": "".join(Alphabet.default(args.letters).names),
         "n": n_list,
         "maxdeg": args.maxdeg,
         "theorems": thms,
@@ -261,11 +236,7 @@ def cmd_universal(args) -> int:
     except (ParseError, ValueError, KeyError) as err:
         print(f"error: bad presentation: {err}", file=sys.stderr)
         return 2
-    try:
-        gens, images = build_An(pres, args.n)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    gens, images = build_An(pres, args.n)
     out = {
         "n": args.n,
         "generators": list(pres.alphabet.names),
@@ -335,8 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an input error (a ValueError the command does not
+    report itself) prints as ``error: ...`` and exits with code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

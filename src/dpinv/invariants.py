@@ -12,15 +12,23 @@ no product can carry into the next field unnoticed.
 
 The pairing sends prod_k w_k^(a_k) to the coefficient of
 t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I + sum_k t_k M_k), M_k the
-generic-matrix image of w_k.  No t parameters are ever introduced: the
-determinant is linear in each row, so that coefficient is
+generic-matrix image of w_k.  No t parameters are ever introduced.
+Amitsur's formula (S. A. Amitsur, Linear and Multilinear Algebra 8 (1980)
+177-182; a combinatorial proof is in Reutenauer-Schutzenberger, Lett. Math.
+Phys. 13 (1987)) factors det(I - sum_k t_k M_k) as prod_u det(I - t^u M_u)
+over the Lyndon words u in the letters k, M_u the product of the M_k along
+u.  Putting t_k -> -t_k, that coefficient is
 
-    sum over T in {1..n} with |T| = |a|,
-        sum over the distinct maps L: T -> {k} taking each k a_k times,
-            det[ M_L(i)[i][j] ]_{i, j in T},
+    sum over the maps f from Lyndon words u with content <= a to 0..n
+        with sum_u f(u) content(u) = a,
+        prod_u (-1)^(f(u)(|u|+1)) e_f(u)(w_u),
 
-a sum of small mixed principal minors.  Like the Berkowitz routine below
-it divides nowhere, so it holds over the integers.
+where w_u is the concatenation of the w_k along u, up to rotation.  So
+every image is a signed sum of products of e_i of single necklaces, the
+same products that span the invariant slice, and the only polynomial
+determinants are the principal minors whose sums are those e_i.  Like the
+Berkowitz routine below they divide nowhere, so all of it holds over the
+integers.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ from operator import mul, or_
 
 from .backend import Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
-                       distinct_permutations, enumerate_necklaces,
-                       enumerate_words, format_signed_sum, multisets)
+                       cyclic_normal_form, enumerate_necklaces,
+                       enumerate_words, format_signed_sum, multisets,
+                       primitive_decompose)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = 8
@@ -357,7 +366,8 @@ def det_cofactor(rows):
 
 
 class MatrixInvariants:
-    """Caches for one (alphabet, n): word matrices and the e_i images."""
+    """Caches for one (alphabet, n): word matrices, the e_i of necklaces,
+    and the products of those e_i at one multidegree."""
 
     def __init__(self, alphabet: Alphabet, n: int):
         if n < 1:
@@ -366,7 +376,11 @@ class MatrixInvariants:
         self.n = n
         self.ring = PolyRing(alphabet, n)
         self._word_mats: dict[Word, MatrixPoly] = {}
-        self._pi: dict[DPMonomial, CommPoly] = {}
+        self._e: dict[tuple[Word, int], CommPoly] = {}
+        # products of e_i keyed by sorted (necklace, i) pairs, all of the
+        # multidegree _products_d; dropped when another one is asked for
+        self._products: dict[tuple, CommPoly] = {}
+        self._products_d: tuple[int, ...] | None = None
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -412,47 +426,28 @@ class MatrixInvariants:
             acc = acc + self.word_matrix(w) * c
         return acc
 
-    def multidet_coeff(self, mats, exponents) -> CommPoly:
-        """Coefficient of t_0^(n-|alpha|) prod_k t_k^(alpha_k) in the
-        parametric determinant det(t_0 I + sum_k t_k mats[k]).
-
-        It is read as a sum of mixed principal minors (see the module
-        docstring); each distinct labelling of a row set is summed once.
-        Weights above n give zero (the determinant has degree n in the t).
-        """
-        exponents = tuple(exponents)
-        if len(mats) != len(exponents):
-            raise ValueError("one exponent per matrix")
-        if any(m.ring != self.ring for m in mats):
-            raise ValueError("matrices must live in this context's ring")
-        weight = sum(exponents)
-        if not 0 < weight <= self.n:
-            return CommPoly.const(self.ring, 1 if weight == 0 else 0)
-        labels = [k for k, e in enumerate(exponents) for _ in range(e)]
-        labellings = list(distinct_permutations(labels))
-        acc: dict[int, int] = {}
-        for subset in combinations(range(self.n), weight):
-            for labelling in labellings:
-                minor = [[mats[k].entries[i][j] for j in subset]
-                         for k, i in zip(labelling, subset)]
-                poly_add_scaled(acc, det_cofactor(minor).terms, 1)
-        return CommPoly(self.ring, acc)
-
     def pi_monomial(self, m: DPMonomial) -> CommPoly:
-        """Image of a standard-basis monomial under the invariant pairing.
-
-        Only single-factor images, the e_i of one word, are cached:
-        ``invariant_span`` reuses them in every cell, while a multi-factor
-        image is needed by its own cell only.
-        """
-        res = self._pi.get(m)
-        if res is None:
-            res = self.multidet_coeff(
-                [self.word_matrix(w) for w, _ in m.factors],
-                [e for _, e in m.factors])
-            if len(m.factors) == 1:
-                self._pi[m] = res
-        return res
+        """Image of a standard-basis monomial under the invariant pairing,
+        by Amitsur's formula (see the module docstring)."""
+        words = [w for w, _ in m.factors]
+        a = tuple(e for _, e in m.factors)
+        r = len(a)
+        lyndon = [nec.rep for nec in enumerate_necklaces(r, max_multidegree=a)
+                  if primitive_decompose(nec.rep)[1] == 1]
+        necks = [cyclic_normal_form(Word(x for k in u for x in words[k]))
+                 for u in lyndon]
+        coeffs: dict[tuple, int] = {}
+        # the multiplicity of Lyndon word k in a multiset is f(u_k)
+        for f in multisets([u.multidegree(r) for u in lyndon], a):
+            key = tuple(sorted((necks[k], i) for k, i in f))
+            odd = sum(i * (len(lyndon[k]) + 1) for k, i in f) % 2
+            coeffs[key] = coeffs.get(key, 0) + (-1 if odd else 1)
+        d = m.multidegree(len(self.alphabet))
+        acc: dict[int, int] = {}
+        for key, c in coeffs.items():
+            if c:
+                poly_add_scaled(acc, self._product(d, key).terms, c)
+        return CommPoly(self.ring, acc)
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:
         """Evaluate on a level-n element, extended linearly."""
@@ -465,10 +460,31 @@ class MatrixInvariants:
         return CommPoly(self.ring, acc)
 
     def e_poly(self, w: Word, i: int) -> CommPoly:
-        """e_i of the word's generic-matrix image."""
+        """e_i of the word's generic-matrix image: the sum of its principal
+        i x i minors, zero for i > n.  Cached per (necklace, i)."""
         if i == 0:
             return CommPoly.const(self.ring, 1)
-        return self.pi_monomial(DPMonomial.single(Word(w), i))
+        key = (cyclic_normal_form(Word(w)), i)
+        res = self._e.get(key)
+        if res is None:
+            mat = self.word_matrix(key[0]).entries
+            acc: dict[int, int] = {}
+            for rows in combinations(range(self.n), i):
+                minor = [[mat[r][c] for c in rows] for r in rows]
+                poly_add_scaled(acc, det_cofactor(minor).terms, 1)
+            res = self._e[key] = CommPoly(self.ring, acc)
+        return res
+
+    def _product(self, d: tuple[int, ...], key: tuple) -> CommPoly:
+        """prod e_i(w) over the (w, i) of key, whose multidegree is d."""
+        if d != self._products_d:
+            self._products, self._products_d = {}, d
+        p = self._products.get(key)
+        if p is None:
+            p = self._products[key] = reduce(
+                mul, (self.e_poly(w, i) for w, i in key),
+                CommPoly.const(self.ring, 1))
+        return p
 
     def invariant_span(self, d: tuple[int, ...]) -> list[CommPoly]:
         """Spanning set of the multidegree-d slice of the invariant ring:
@@ -485,9 +501,8 @@ class MatrixInvariants:
         # distinct choices can give equal products: e_1(x) e_1(y) == e_1(xy)
         # at n=1
         for picks in multisets(degs, d):
-            p = reduce(mul, (self.e_poly(*cands[k])
-                             for k, e in picks for _ in range(e)),
-                       CommPoly.const(self.ring, 1))
+            p = self._product(d, tuple(sorted(
+                cands[k] for k, e in picks for _ in range(e))))
             key = tuple(sorted(p.terms.items()))
             if key not in seen:
                 seen.add(key)

@@ -49,6 +49,15 @@ def test_pi_command(capsys):
     assert out.strip() == "-x[x][1][2]*x[x][2][1] + x[x][1][1]*x[x][2][2]"
 
 
+def test_pi_command_two_factors(capsys):
+    # the coefficient of t1 t2 in det(t0 I + t1 X + t2 Y): tr X tr Y - tr XY
+    code, out, _ = run(capsys, "pi", "[x^(1) y^(1)|n=2]")
+    assert code == 0
+    assert out.strip() == (
+        "x[x][2][2]*x[y][1][1] - x[x][2][1]*x[y][1][2] "
+        "- x[x][1][2]*x[y][2][1] + x[x][1][1]*x[y][2][2]")
+
+
 def test_pi_requires_level(capsys):
     code, _, err = run(capsys, "pi", "[x^(1)|lim]")
     assert code == 2
@@ -75,12 +84,11 @@ def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
 
 def test_negative_letter_count_is_a_clear_error(capsys):
     # it sliced the letter pool from its end and ran over 25 letters
-    with pytest.raises(SystemExit) as exc:
-        main(["tau", "[x^(1)|lim]", "[x^(1)|lim]", "--letters", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: need at least one letter, not -1\n"
+    code, out, err = run(capsys, "tau", "[x^(1)|lim]", "[x^(1)|lim]",
+                         "--letters", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one letter, not -1\n"
 
 
 def test_verify_all_pass_and_json(tmp_path, capsys):

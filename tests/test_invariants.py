@@ -1,15 +1,18 @@
 import itertools
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from dpinv.backend import poly_add_scaled
 from dpinv.exactla import ExactMatrix
-from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
+from dpinv.freering import (Alphabet, FreePoly, distinct_permutations,
+                            parse_freepoly, word_from_str)
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
-                              charpoly_coeffs)
+                              charpoly_coeffs, det_cofactor)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -19,6 +22,35 @@ XX = word_from_str("xx", AB)
 
 def inv(n):
     return MatrixInvariants.get(AB, n)
+
+
+def multidet_coeff(ctx, mats, exponents):
+    """Independent pairing oracle: the coefficient of
+    t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I + sum_k t_k mats[k]).
+
+    The determinant is linear in each row, so that coefficient is the sum,
+    over row sets T with |T| = |a| and the distinct labellings of T taking
+    each k a_k times, of the mixed minor whose row i comes from mats[label
+    of i].  Weights above n give zero.
+    """
+    weight = sum(exponents)
+    if not 0 < weight <= ctx.n:
+        return CommPoly.const(ctx.ring, 1 if weight == 0 else 0)
+    labels = [k for k, e in enumerate(exponents) for _ in range(e)]
+    labellings = list(distinct_permutations(labels))
+    acc = {}
+    for subset in combinations(range(ctx.n), weight):
+        for labelling in labellings:
+            minor = [[mats[k].entries[i][j] for j in subset]
+                     for k, i in zip(labelling, subset)]
+            poly_add_scaled(acc, det_cofactor(minor).terms, 1)
+    return CommPoly(ctx.ring, acc)
+
+
+def pi_oracle(ctx, m):
+    """The pairing of a monomial, read from the mixed minors."""
+    return multidet_coeff(ctx, [ctx.word_matrix(w) for w, _ in m.factors],
+                          [e for _, e in m.factors])
 
 
 def test_generic_matrix_entries():
@@ -126,19 +158,22 @@ def test_charpoly_generic_2x2():
 def test_multidet_coeff_edge_cases():
     ctx = inv(2)
     zx = ctx.generic_matrix("x")
-    one = ctx.multidet_coeff([zx], (0,))
-    assert one == CommPoly.const(ctx.ring, 1)
-    assert ctx.multidet_coeff([zx], (3,)).is_zero()
+    assert ctx.e_poly(X, 0) == CommPoly.const(ctx.ring, 1)
+    assert ctx.e_poly(X, 3).is_zero()
+    assert multidet_coeff(ctx, [zx], (0,)) == CommPoly.const(ctx.ring, 1)
+    assert multidet_coeff(ctx, [zx], (3,)).is_zero()
     for i in (1, 2):
-        assert ctx.multidet_coeff([zx], (i,)) == charpoly_coeffs(zx)[i]
+        assert multidet_coeff(ctx, [zx], (i,)) == charpoly_coeffs(zx)[i] \
+            == ctx.e_poly(X, i)
 
 
 def test_e_poly_matches_berkowitz_charpoly():
     # Berkowitz never sums minors, so it checks the minor sum independently;
-    # xx and the higher e_i give labellings with a repeated label
+    # e_poly is cached per necklace, and yx is compared with Berkowitz on
+    # its own matrix, not on that of xy
     for n in (1, 2, 3, 4):
         ctx = inv(n)
-        for w in (X, XX, word_from_str("xy", AB)):
+        for w in (X, XX, word_from_str("xy", AB), word_from_str("yx", AB)):
             es = charpoly_coeffs(ctx.word_matrix(w))
             assert ctx.e_poly(w, 0) == CommPoly.const(ctx.ring, es[0])
             for i in range(1, n + 1):
@@ -149,7 +184,7 @@ def test_multidet_polarization_2x2():
     # coefficient of t1 t2 in det(t0 + t1 X + t2 Y) is tr X tr Y - tr(XY)
     ctx = inv(2)
     zx, zy = ctx.generic_matrix("x"), ctx.generic_matrix("y")
-    mixed = ctx.multidet_coeff([zx, zy], (1, 1))
+    mixed = multidet_coeff(ctx, [zx, zy], (1, 1))
     trx = zx.trace()
     try_ = zy.trace()
     trxy = (zx * zy).trace()

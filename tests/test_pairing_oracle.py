@@ -16,6 +16,7 @@ from dpinv.freering import Alphabet, word_from_str  # noqa: E402
 from dpinv.gamma import DPMonomial, enumerate_dp_monomials  # noqa: E402
 from dpinv.invariants import MatrixInvariants  # noqa: E402
 from dpinv.theorems import multidegrees  # noqa: E402
+from test_invariants import multidet_coeff  # noqa: E402
 
 AB = Alphabet("xy")
 
@@ -67,11 +68,12 @@ def test_pi_monomial_matches_parametric_determinant(n):
 
 @pytest.mark.parametrize("exponents", [(1, 1, 1), (2, 1, 0)])
 def test_multidet_coeff_three_matrices(exponents):
+    # the mixed-minor oracle of the property tests against sympy
     n = 3
     ctx = MatrixInvariants.get(AB, n)
     ring = ctx.ring
     words = [word_from_str(s, AB) for s in ("x", "y", "xy")]
-    got = ctx.multidet_coeff([ctx.word_matrix(w) for w in words], exponents)
+    got = multidet_coeff(ctx, [ctx.word_matrix(w) for w in words], exponents)
     want = coefficient(ring, words, exponents)
     assert want
     assert as_dict(ring, got) == want

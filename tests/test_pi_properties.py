@@ -1,4 +1,6 @@
-"""Property test: the pairing is a ring map on random level-3 elements."""
+"""Property tests: the pairing is a ring map on random level-3 elements,
+and Amitsur's formula agrees with the mixed-minor oracle on random basis
+monomials."""
 
 import pytest
 
@@ -10,6 +12,7 @@ from dpinv.freering import Alphabet  # noqa: E402
 from dpinv.gamma import GammaElement, enumerate_dp_monomials, tau  # noqa: E402
 from dpinv.invariants import MatrixInvariants  # noqa: E402
 from dpinv.theorems import multidegrees  # noqa: E402
+from test_invariants import pi_oracle  # noqa: E402
 
 AB = Alphabet("xy")
 N = 3
@@ -41,3 +44,23 @@ def test_pi_is_multiplicative_on_random_level3_elements(ab):
     a, b = ab
     ctx = MatrixInvariants.get(AB, N)
     assert ctx.pi_n_eval(tau(a, b)) == ctx.pi_n_eval(a) * ctx.pi_n_eval(b)
+
+
+@st.composite
+def basis_monomials(draw):
+    """(letters, n, m): m a level-n basis monomial over two or three letters
+    of total degree 1..5 (1..4 at n=4)."""
+    letters = draw(st.sampled_from(("xy", "xyz")))
+    n = draw(st.integers(1, 4))
+    cells = [d for d in multidegrees(len(letters), 4 if n == 4 else 5)
+             if any(d)]
+    d = draw(st.sampled_from(cells))
+    return letters, n, draw(st.sampled_from(enumerate_dp_monomials(d, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_monomials())
+def test_pi_monomial_matches_mixed_minors(lnm):
+    letters, n, m = lnm
+    ctx = MatrixInvariants.get(Alphabet(letters), n)
+    assert ctx.pi_monomial(m) == pi_oracle(ctx, m), m
