@@ -160,24 +160,6 @@ def primitive_decompose(w: Word) -> tuple[Word, int]:
     return Word(w), 1
 
 
-class Necklace:
-    """Cyclic-equivalence class of a nonempty word."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, word: Word):
-        self.rep = cyclic_normal_form(word)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Necklace) and self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash((Necklace, tuple(self.rep)))
-
-    def __repr__(self) -> str:
-        return f"Necklace({tuple(self.rep)})"
-
-
 def _bounded(d: tuple[int, ...], bound: tuple[int, ...] | None) -> bool:
     return bound is None or all(a <= b for a, b in zip(d, bound))
 
@@ -187,7 +169,14 @@ def enumerate_words(
     max_total: int | None = None,
     max_multidegree: tuple[int, ...] | None = None,
 ) -> list[Word]:
-    """All nonempty words within the bound, in graded lex order."""
+    """All nonempty words within the bound, in graded lex order.
+
+    ``max_multidegree`` bounds each letter's count, so it has one entry per
+    letter.
+    """
+    if max_multidegree is not None and len(max_multidegree) != nletters:
+        raise ValueError(f"max_multidegree {tuple(max_multidegree)} needs "
+                         f"one entry per letter, {nletters} in all")
     if max_total is None:
         if max_multidegree is None:
             raise ValueError("a degree bound is required")
@@ -205,13 +194,11 @@ def enumerate_necklaces(
     nletters: int,
     max_total: int | None = None,
     max_multidegree: tuple[int, ...] | None = None,
-) -> list[Necklace]:
-    """One representative per cyclic class within the bound, graded lex."""
-    out = []
-    for w in enumerate_words(nletters, max_total, max_multidegree):
-        if cyclic_normal_form(w) == w:
-            out.append(Necklace(w))
-    return out
+) -> list[Word]:
+    """The least rotation of each cyclic class within the bound (its
+    ``cyclic_normal_form``), in graded lex order."""
+    return [w for w in enumerate_words(nletters, max_total, max_multidegree)
+            if cyclic_normal_form(w) == w]
 
 
 def words_of_multidegree(d: tuple[int, ...]) -> list[Word]:

@@ -26,16 +26,16 @@ u.  Putting t_k -> -t_k, that coefficient is
 where w_u is the concatenation of the w_k along u, up to rotation.  So
 every image is a signed sum of products of e_i of single necklaces, the
 same products that span the invariant slice, and the only polynomial
-determinants are the principal minors whose sums are those e_i.  Like the
-Berkowitz routine below they divide nowhere, so all of it holds over the
-integers.
+determinants are the principal minors whose sums are those e_i
+(``principal_minor_sum``).  Cofactor expansion divides nowhere, so all of
+it holds over the integers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import mul, or_
+from operator import add, mul, or_
 
 from .backend import Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
@@ -293,61 +293,6 @@ class MatrixPoly:
         return f"MatrixPoly({self.n}x{self.n} over {self.ring!r})"
 
 
-def _dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def _matvec(m, v):
-    return [_dot(row, v) for row in m]
-
-
-def berkowitz_charpoly(a) -> list:
-    """Division-free characteristic polynomial (Berkowitz/Samuelson).
-
-    Input is a square array over any commutative ring whose elements
-    support +, -, * among themselves and with ints.  Returns c with
-    det(tI - a) = sum_i c[i] t^(n-i), c[0] = 1.
-    """
-    n = len(a)
-    if n == 0:
-        return [1]
-    c = [1, -a[0][0]]
-    for r in range(1, n):
-        row = a[r][:r]
-        col = [a[i][r] for i in range(r)]
-        lead = [list(a[i][:r]) for i in range(r)]
-        prods = [_dot(row, col)]
-        v = col
-        for _ in range(r - 1):
-            v = _matvec(lead, v)
-            prods.append(_dot(row, v))
-        t = [1, -a[r][r]] + [-p for p in prods]
-        new = []
-        for i in range(r + 2):
-            acc = None
-            for j in range(max(0, i - len(t) + 1), min(i, r) + 1):
-                term = t[i - j] * c[j]
-                acc = term if acc is None else acc + term
-            new.append(acc)
-        c = new
-    return c
-
-
-def charpoly_coeffs(b: MatrixPoly | list) -> list:
-    """Characteristic coefficients [e_0=1, e_1, ..., e_n].
-
-    e_i is the i-th elementary symmetric function of the eigenvalues, read
-    from det(tI - b) = sum_i (-1)^i e_i t^(n-i); e_1 is the trace and e_n
-    the determinant.  Division-free, valid over the integers.
-    """
-    rows = b.entries if isinstance(b, MatrixPoly) else b
-    c = berkowitz_charpoly(rows)
-    return [coef if i % 2 == 0 else -coef for i, coef in enumerate(c)]
-
-
 def det_cofactor(rows):
     """Determinant by first-row cofactor expansion (division-free)."""
     n = len(rows)
@@ -363,6 +308,37 @@ def det_cofactor(rows):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def principal_minor_sum(rows, i: int):
+    """The sum of the principal i x i minors of a square array, each by
+    ``det_cofactor``; 1 for i = 0 and 0 for i > n.
+
+    Entries may lie in any commutative ring whose elements support +, -
+    and * among themselves.  This is e_i, the i-th elementary symmetric
+    function of the eigenvalues.
+    """
+    n = len(rows)
+    if i == 0:
+        return 1
+    if i > n:
+        return 0
+    return reduce(add, (det_cofactor([[rows[r][c] for c in s] for r in s])
+                        for s in combinations(range(n), i)))
+
+
+def charpoly_coeffs(b: MatrixPoly | list) -> list:
+    """Characteristic coefficients [e_0=1, e_1, ..., e_n].
+
+    det(tI - b) = sum_i (-1)^i e_i t^(n-i); e_1 is the trace and e_n the
+    determinant.  Each e_i is a ``principal_minor_sum``, so the cost grows
+    like sum_i C(n, i) i!, which is fine at the orders of a desk-scale run
+    (n <= 5).  Division-free, valid over the integers.
+    """
+    rows = b.entries if isinstance(b, MatrixPoly) else b
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    return [principal_minor_sum(rows, i) for i in range(len(rows) + 1)]
 
 
 class MatrixInvariants:
@@ -432,8 +408,8 @@ class MatrixInvariants:
         words = [w for w, _ in m.factors]
         a = tuple(e for _, e in m.factors)
         r = len(a)
-        lyndon = [nec.rep for nec in enumerate_necklaces(r, max_multidegree=a)
-                  if primitive_decompose(nec.rep)[1] == 1]
+        lyndon = [u for u in enumerate_necklaces(r, max_multidegree=a)
+                  if primitive_decompose(u)[1] == 1]
         necks = [cyclic_normal_form(Word(x for k in u for x in words[k]))
                  for u in lyndon]
         coeffs: dict[tuple, int] = {}
@@ -467,12 +443,10 @@ class MatrixInvariants:
         key = (cyclic_normal_form(Word(w)), i)
         res = self._e.get(key)
         if res is None:
-            mat = self.word_matrix(key[0]).entries
-            acc: dict[int, int] = {}
-            for rows in combinations(range(self.n), i):
-                minor = [[mat[r][c] for c in rows] for r in rows]
-                poly_add_scaled(acc, det_cofactor(minor).terms, 1)
-            res = self._e[key] = CommPoly(self.ring, acc)
+            e = principal_minor_sum(self.word_matrix(key[0]).entries, i)
+            # the int 0 when i > n
+            res = self._e[key] = (e if isinstance(e, CommPoly)
+                                  else CommPoly.const(self.ring, e))
         return res
 
     def _product(self, d: tuple[int, ...], key: tuple) -> CommPoly:
@@ -492,8 +466,8 @@ class MatrixInvariants:
         nletters = len(self.alphabet)
         if len(d) != nletters:
             raise ValueError("multidegree length must match the alphabet")
-        cands = [(nec.rep, i)
-                 for nec in enumerate_necklaces(nletters, max_multidegree=d)
+        cands = [(w, i)
+                 for w in enumerate_necklaces(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
         out: list[CommPoly] = []

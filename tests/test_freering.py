@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from dpinv.freering import (Alphabet, FreePoly, Necklace, ParseError, Word,
+from dpinv.freering import (Alphabet, FreePoly, ParseError, Word,
                             compositions, cyclic_normal_form,
                             distinct_permutations, enumerate_necklaces,
                             enumerate_words, multisets, parse_freepoly,
@@ -102,7 +102,7 @@ def test_necklace_counts_match_formula():
 def test_enumerate_necklaces_counts_match_formula():
     from collections import Counter
 
-    by_len = Counter(len(n.rep) for n in enumerate_necklaces(2, max_total=8))
+    by_len = Counter(len(n) for n in enumerate_necklaces(2, max_total=8))
     for length in range(1, 9):
         expected = sum(euler_phi(d) * 2 ** (length // d)
                        for d in range(1, length + 1)
@@ -110,17 +110,12 @@ def test_enumerate_necklaces_counts_match_formula():
         assert by_len[length] == expected
 
 
-def test_necklace_equality_is_rotation_equality():
-    assert Necklace(w("xyx")) == Necklace(w("yxx"))
-    assert Necklace(w("xy")) != Necklace(w("xx"))
-    assert hash(Necklace(w("xyx"))) == hash(Necklace(w("xxy")))
-
-
 def test_enumerate_words_examples():
     names = [word.to_str(AB) for word in enumerate_words(2, max_total=2)]
     assert names == ["x", "y", "xx", "xy", "yx", "yy"]
-    necks = [n.rep.to_str(AB) for n in enumerate_necklaces(2, max_total=2)]
-    assert necks == ["x", "y", "xx", "xy", "yy"]
+    necks = enumerate_necklaces(2, max_total=2)
+    assert all(type(n) is Word for n in necks)
+    assert [n.to_str(AB) for n in necks] == ["x", "y", "xx", "xy", "yy"]
     assert enumerate_words(2, max_total=0) == []
 
 
@@ -130,6 +125,16 @@ def test_enumerate_words_multidegree_bound():
         d = word.multidegree(2)
         assert d[0] <= 2 and d[1] <= 1
     assert len(words) == len(set(words))
+
+
+def test_multidegree_bound_needs_one_entry_per_letter():
+    for bound in ((1,), (1, 1, 0), ()):
+        with pytest.raises(ValueError):
+            enumerate_words(2, max_multidegree=bound)
+        with pytest.raises(ValueError):
+            enumerate_necklaces(2, max_total=3, max_multidegree=bound)
+    assert [u.to_str(AB) for u in enumerate_words(2, max_multidegree=(1, 0))] \
+        == ["x"]
 
 
 def test_words_of_multidegree():

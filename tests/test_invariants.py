@@ -12,7 +12,8 @@ from dpinv.freering import (Alphabet, FreePoly, distinct_permutations,
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
-                              charpoly_coeffs, det_cofactor)
+                              charpoly_coeffs, det_cofactor,
+                              principal_minor_sum)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -51,6 +52,56 @@ def pi_oracle(ctx, m):
     """The pairing of a monomial, read from the mixed minors."""
     return multidet_coeff(ctx, [ctx.word_matrix(w) for w, _ in m.factors],
                           [e for _, e in m.factors])
+
+
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def _matvec(m, v):
+    return [_dot(row, v) for row in m]
+
+
+def berkowitz_charpoly(a) -> list:
+    """Division-free characteristic polynomial (Berkowitz/Samuelson).
+
+    Input is a square array over any commutative ring whose elements
+    support +, -, * among themselves and with ints.  Returns c with
+    det(tI - a) = sum_i c[i] t^(n-i), c[0] = 1.
+    """
+    n = len(a)
+    if n == 0:
+        return [1]
+    c = [1, -a[0][0]]
+    for r in range(1, n):
+        row = a[r][:r]
+        col = [a[i][r] for i in range(r)]
+        lead = [list(a[i][:r]) for i in range(r)]
+        prods = [_dot(row, col)]
+        v = col
+        for _ in range(r - 1):
+            v = _matvec(lead, v)
+            prods.append(_dot(row, v))
+        t = [1, -a[r][r]] + [-p for p in prods]
+        new = []
+        for i in range(r + 2):
+            acc = None
+            for j in range(max(0, i - len(t) + 1), min(i, r) + 1):
+                term = t[i - j] * c[j]
+                acc = term if acc is None else acc + term
+            new.append(acc)
+        c = new
+    return c
+
+
+def berkowitz_e(a) -> list:
+    """[e_0, ..., e_n] of a square array by Berkowitz, which sums no minor:
+    the independent oracle of ``principal_minor_sum``."""
+    return [c if i % 2 == 0 else -c
+            for i, c in enumerate(berkowitz_charpoly(a))]
 
 
 def test_generic_matrix_entries():
@@ -139,6 +190,21 @@ def test_charpoly_against_cofactor_oracle():
             assert es[n] == cofactor_int_det(m)
 
 
+def test_charpoly_rejects_a_non_square_matrix():
+    for m in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            charpoly_coeffs(m)
+    assert charpoly_coeffs([]) == [1]
+
+
+def test_principal_minor_sum_edge_cases():
+    m = [[2, 1, 0], [1, 3, 4], [0, 5, 6]]
+    assert principal_minor_sum(m, 0) == 1
+    assert principal_minor_sum(m, 4) == 0
+    assert [principal_minor_sum(m, i) for i in (1, 2, 3)] == \
+        [11, (6 - 1) + 12 + (18 - 20), cofactor_int_det(m)]
+
+
 def cofactor_int_det(m):
     n = len(m)
     if n == 1:
@@ -174,7 +240,7 @@ def test_e_poly_matches_berkowitz_charpoly():
     for n in (1, 2, 3, 4):
         ctx = inv(n)
         for w in (X, XX, word_from_str("xy", AB), word_from_str("yx", AB)):
-            es = charpoly_coeffs(ctx.word_matrix(w))
+            es = berkowitz_e(ctx.word_matrix(w).entries)
             assert ctx.e_poly(w, 0) == CommPoly.const(ctx.ring, es[0])
             for i in range(1, n + 1):
                 assert ctx.e_poly(w, i) == es[i], (n, w, i)
