@@ -10,13 +10,27 @@ The second (noncommutative) ring product ``tau`` sums over non-negative
 integer matrices with prescribed margins: rows indexed by the left factor's
 words plus an identity slot, columns likewise for the right factor, the
 identity-identity cell forced to zero.  Interior cells concatenate words.
+
+``tau_monomials`` enumerates those matrices over a slot table built once
+per product: the row words, the column words and their concatenations,
+deduplicated and sorted by ``(len, word)``, which is the factor order of a
+``DPMonomial``, with one exponent per slot.  The interior cells are filled
+in place in row-major order against running column remainders; a row's
+slack goes to its word's slot when the row is complete, and the column
+slacks when the matrix is.  Putting e into a slot that already holds t
+multiplies the coefficient by C(t+e, e), the divided-power merge, so each
+matrix reads its monomial straight off the nonzero slots, already in
+order.  Such a monomial is built by ``DPMonomial._trusted``, which skips
+the validation and sorting of the public constructor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator
+from math import comb
+from operator import itemgetter
+from typing import Iterable
 
 from .backend import Terms, poly_add_scaled
 from .freering import (Alphabet, FreePoly, ParseError, Word, compositions,
@@ -28,9 +42,13 @@ class ContextError(ValueError):
 
 
 class DPMonomial:
-    """Product of divided powers of distinct nonempty words."""
+    """Product of divided powers of distinct nonempty words.
 
-    __slots__ = ("factors", "_hash")
+    ``factors`` holds (word, exponent) pairs in graded-lex word order;
+    ``weight`` is |alpha|, the sum of the exponents.
+    """
+
+    __slots__ = ("factors", "weight", "_hash")
 
     def __init__(self, factors: Iterable[tuple[Word, int]] = ()):
         fs = []
@@ -47,7 +65,18 @@ class DPMonomial:
             fs.append((w, e))
         fs.sort(key=lambda p: (len(p[0]), tuple(p[0])))
         self.factors = tuple(fs)
+        self.weight = sum(e for _, e in fs)
         self._hash = hash(self.factors)
+
+    @classmethod
+    def _trusted(cls, factors: tuple[tuple[Word, int], ...]) -> "DPMonomial":
+        """A monomial from factors already valid and in order; nothing is
+        checked."""
+        m = object.__new__(cls)
+        m.factors = factors
+        m.weight = sum(map(itemgetter(1), factors))
+        m._hash = hash(factors)
+        return m
 
     @classmethod
     def one(cls) -> "DPMonomial":
@@ -56,11 +85,6 @@ class DPMonomial:
     @classmethod
     def single(cls, w: Word, e: int = 1) -> "DPMonomial":
         return cls(((w, e),))
-
-    @property
-    def weight(self) -> int:
-        """|alpha|: the sum of the exponents."""
-        return sum(e for _, e in self.factors)
 
     def multidegree(self, nletters: int) -> tuple[int, ...]:
         d = [0] * nletters
@@ -112,11 +136,17 @@ class _LevelTerms(Terms):
 
     __slots__ = ("level",)
 
-    def _like(self, terms):
-        res = object.__new__(type(self))
+    @classmethod
+    def _trusted(cls, terms, level):
+        """An element of the given context from terms already clean there;
+        nothing is checked."""
+        res = object.__new__(cls)
         res.terms = terms
-        res.level = self.level
+        res.level = level
         return res
+
+    def _like(self, terms):
+        return self._trusted(terms, self.level)
 
     def _context(self) -> int | None:
         return self.level
@@ -193,73 +223,86 @@ def dp_mul(g: GammaElement, h: GammaElement) -> GammaElement:
     return g._like(acc)
 
 
-def _interior_matrices(rowsums: tuple[int, ...], colsums: tuple[int, ...]
-                       ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Non-negative r x c matrices with row sums <= rowsums and column
-    sums <= colsums, emitted in lexicographic row-major order."""
-    r, c = len(rowsums), len(colsums)
-
-    def fill(i: int, remaining_cols: list[int],
-             rows_acc: list[tuple[int, ...]]) -> Iterator[tuple]:
-        if i == r:
-            yield tuple(rows_acc)
-            return
-        budget = rowsums[i]
-
-        def fill_row(j: int, left: int, row_acc: list[int]) -> Iterator[tuple]:
-            if j == c:
-                rows_acc.append(tuple(row_acc))
-                yield from fill(i + 1, remaining_cols, rows_acc)
-                rows_acc.pop()
-                return
-            top = min(left, remaining_cols[j])
-            for e in range(top + 1):
-                remaining_cols[j] -= e
-                row_acc.append(e)
-                yield from fill_row(j + 1, left - e, row_acc)
-                row_acc.pop()
-                remaining_cols[j] += e
-
-        yield from fill_row(0, budget, [])
-
-    yield from fill(0, list(colsums), [])
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def tau_monomials(u: DPMonomial, v: DPMonomial) -> GammaElement:
     """tau product of two basis monomials in the limit ring.
 
     Sums over margin matrices: slack in a row keeps that word as-is, slack
     in a column keeps the right word, and an interior cell gamma_{mu,nu}
-    contributes (mu nu)^(gamma) with mu nu concatenated.  Cached: callers
-    must treat the result as read-only.
+    contributes (mu nu)^(gamma) with mu nu concatenated.  The cells are
+    filled in place over the slot table (see the module docstring), in
+    lexicographic row-major order.  Cached: callers must treat the result
+    as read-only.
     """
-    rows = u.factors
-    cols = v.factors
-    rowsums = tuple(e for _, e in rows)
-    colsums = tuple(e for _, e in cols)
-    acc: dict[DPMonomial, int] = {}
-    for g in _interior_matrices(rowsums, colsums):
-        pairs: list[tuple[Word, int]] = []
-        for i, (wu, a) in enumerate(rows):
-            slack = a - sum(g[i])
+    rows, cols = u.factors, v.factors
+    r, c = len(rows), len(cols)
+    if not r or not c:
+        # one side is the identity
+        return GammaElement._trusted({v if c else u: 1}, None)
+    cats = [[wu + wv for wv, _ in cols] for wu, _ in rows]
+    distinct = sorted({w for w, _ in rows} | {w for w, _ in cols}
+                      | {w for row in cats for w in row},
+                      key=lambda w: (len(w), w))
+    slot = {w: k for k, w in enumerate(distinct)}
+    row_slot = [slot[w] for w, _ in rows]
+    col_slot = [slot[w] for w, _ in cols]
+    cell_slot = [[slot[w] for w in row] for row in cats]
+    rowsums = [e for _, e in rows]
+    colrem = [e for _, e in cols]
+    exps = [0] * len(distinct)
+    acc: dict[tuple, int] = {}
+
+    last_row, last_col = r - 1, c - 1
+
+    def leaf(coeff: int) -> None:
+        # the column slacks complete the matrix
+        x = exps[:]
+        for s, e in zip(col_slot, colrem):
+            if e:
+                t = x[s]
+                if t:
+                    coeff *= comb(t + e, e)
+                x[s] = t + e
+        key = tuple(x)
+        acc[key] = acc.get(key, 0) + coeff
+
+    def fill(i: int, j: int, left: int, coeff: int) -> None:
+        # cell (i, j); left is what row i may still place
+        s = cell_slot[i][j]
+        t = exps[s]
+        top = min(left, colrem[j])
+        for e in range(top + 1):
+            if e:
+                exps[s] = t + e
+                colrem[j] -= 1
+                ce = coeff * comb(t + e, e) if t else coeff
+            else:
+                ce = coeff
+            if j < last_col:
+                fill(i, j + 1, left - e, ce)
+                continue
+            # row i is complete: its slack keeps the row's word
+            slack = left - e
+            rs = row_slot[i]
+            held = exps[rs]
             if slack:
-                pairs.append((wu, slack))
-        for j, (wv, b) in enumerate(cols):
-            slack = b - sum(g[i][j] for i in range(len(rows)))
-            if slack:
-                pairs.append((wv, slack))
-        for i, (wu, _) in enumerate(rows):
-            for j, (wv, _) in enumerate(cols):
-                if g[i][j]:
-                    pairs.append((wu + wv, g[i][j]))
-        coeff, mono = merge_factors(pairs)
-        nc = acc.get(mono, 0) + coeff
-        if nc:
-            acc[mono] = nc
-        elif mono in acc:
-            del acc[mono]
-    return GammaElement(acc, None)
+                exps[rs] = held + slack
+                if held:
+                    ce *= comb(held + slack, slack)
+            if i < last_row:
+                fill(i + 1, 0, rowsums[i + 1], ce)
+            else:
+                leaf(ce)
+            exps[rs] = held
+        exps[s] = t
+        colrem[j] += top
+
+    fill(0, 0, rowsums[0], 1)
+    terms = {}
+    for x, k in acc.items():
+        factors = tuple(filter(itemgetter(1), zip(distinct, x)))
+        terms[DPMonomial._trusted(factors)] = k
+    return GammaElement._trusted(terms, None)
 
 
 def tau(g: GammaElement, h: GammaElement) -> GammaElement:
@@ -269,11 +312,21 @@ def tau(g: GammaElement, h: GammaElement) -> GammaElement:
     truncated, which is the definition of the level-n multiplication.
     """
     g._coerce(h)
-    acc: dict[DPMonomial, int] = {}
+    acc: dict[DPMonomial, int] | None = None
     for mu, cu in g.terms.items():
         for mv, cv in h.terms.items():
-            poly_add_scaled(acc, tau_monomials(mu, mv).terms, cu * cv)
-    return GammaElement(acc, g.level)
+            terms = tau_monomials(mu, mv).terms
+            s = cu * cv
+            if acc is None:
+                # a product's coefficients are positive: nothing cancels
+                acc = dict(terms) if s == 1 else {m: s * k
+                                                  for m, k in terms.items()}
+            else:
+                poly_add_scaled(acc, terms, s)
+    n = g.level
+    if n is not None and acc:
+        acc = {m: k for m, k in acc.items() if m.weight <= n}
+    return g._like(acc or {})
 
 
 def tau_n(g: GammaElement, h: GammaElement, n: int) -> GammaElement:
@@ -287,7 +340,8 @@ def sigma_n(g: GammaElement, n: int) -> GammaElement:
     """Project the limit ring onto level n (drop weights above n)."""
     if g.level is not None:
         raise ContextError("sigma_n expects a limit-ring element")
-    return GammaElement({m: c for m, c in g.terms.items() if m.weight <= n}, n)
+    return GammaElement._trusted(
+        {m: c for m, c in g.terms.items() if m.weight <= n}, n)
 
 
 def rho_n(g: GammaElement) -> GammaElement:
@@ -299,8 +353,8 @@ def rho_n(g: GammaElement) -> GammaElement:
     n = g.level
     if n is None or n < 1:
         raise ContextError("rho_n needs a truncated context with n >= 1")
-    return GammaElement({m: c for m, c in g.terms.items() if m.weight <= n - 1},
-                        n - 1)
+    return GammaElement._trusted(
+        {m: c for m, c in g.terms.items() if m.weight < n}, n - 1)
 
 
 def dp_expand(f: FreePoly, k: int) -> GammaElement:

@@ -307,15 +307,21 @@ def verify_plethysm(n_list, i_list, elements, alphabet: Alphabet
 def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
                            ) -> VerifyEntry:
     """chi_n(f) evaluates to the zero matrix under the invariant pairing
-    tensored with the generic-matrix evaluation."""
+    tensored with the generic-matrix evaluation.
+
+    The terms are grouped by their divided-power monomial, so each distinct
+    monomial is paired once and scales the image of its word polynomial.
+    """
     from .gamma import chi_formal
     from .invariants import MatrixPoly
 
     inv = MatrixInvariants.get(alphabet, n)
-    chi = chi_formal(f, n)
+    by_mono: dict[DPMonomial, dict[Word, int]] = {}
+    for (mono, w), c in chi_formal(f, n).terms.items():
+        by_mono.setdefault(mono, {})[w] = c
     acc = MatrixPoly.identity(inv.ring, n, 0)
-    for (mono, w), c in chi.terms.items():
-        acc = acc + inv.word_matrix(w) * inv.pi_monomial(mono) * c
+    for mono, words in by_mono.items():
+        acc = acc + inv.jn_eval(FreePoly(words)) * inv.pi_monomial(mono)
     return VerifyEntry("ch", n, _scaled_multidegree(f, n, alphabet),
                        0, 0, 0, acc.is_zero())
 

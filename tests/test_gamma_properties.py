@@ -1,16 +1,20 @@
 """Property tests: tau is associative with identity on random limit-ring
-elements, and sigma_n is a ring map onto random level-n elements."""
+elements, sigma_n is a ring map onto random level-n elements, and the tau
+kernel agrees with the full-margin oracle on random monomial pairs."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
-from dpinv.freering import Alphabet  # noqa: E402
-from dpinv.gamma import (GammaElement, enumerate_dp_monomials,  # noqa: E402
-                         sigma_n, tau)
+from dpinv.freering import Alphabet, word_from_str  # noqa: E402
+from dpinv.gamma import (DPMonomial, GammaElement,  # noqa: E402
+                         enumerate_dp_monomials, sigma_n, tau, tau_monomials,
+                         tau_n)
 from dpinv.theorems import multidegrees  # noqa: E402
+from test_gamma import full_margin_tau_oracle  # noqa: E402
 
 AB = Alphabet("xy")
 MAX_DEGREE = 5
@@ -57,3 +61,53 @@ def test_sigma_n_is_a_ring_map(n, abc):
     assert sigma_n(tau(a, b), n) == tau(sa, sb)
     assert sigma_n(a + b, n) == sa + sb
     assert sigma_n(GammaElement.one(None), n) == GammaElement.one(n)
+
+
+# concatenations of these collide with each other and with the words
+# themselves (x.yx = xy.x = xyx, x.x = xx, ...), so the kernel's slot merges
+# and their binomial factors are exercised
+COLLIDING = [word_from_str(t, AB) for t in ("x", "y", "xy", "yx", "xx", "xyx")]
+
+
+@st.composite
+def monomial_pairs(draw, max_degree=6):
+    """(u, v) over COLLIDING with deg u + deg v <= max_degree."""
+    budget = max_degree
+    pair = []
+    for _ in range(2):
+        factors = []
+        for w in draw(st.lists(st.sampled_from(COLLIDING), unique=True,
+                               max_size=3)):
+            if budget >= len(w):
+                e = draw(st.integers(1, budget // len(w)))
+                factors.append((w, e))
+                budget -= e * len(w)
+        pair.append(DPMonomial(factors))
+    return tuple(pair)
+
+
+X, XX, XY, YX = (word_from_str(t, AB) for t in ("x", "xx", "xy", "yx"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_pairs(), st.integers(1, 3))
+# two interior cells on one word: x.yx = xy.x
+@example((DPMonomial([(X, 1), (XY, 1)]), DPMonomial([(X, 1), (YX, 1)])), 1)
+# a row's slack on the word of an earlier cell, x.x = xx, before the last row
+@example((DPMonomial([(X, 1), (XX, 1), (XY, 1)]), DPMonomial([(X, 1)])), 2)
+def test_tau_kernel_matches_full_margin_oracle(uv, drop):
+    u, v = uv
+    limit = tau_monomials(u, v)
+    assert all(c > 0 for c in limit.terms.values())
+    for m in limit.terms:
+        # built by the trusted constructor: it must equal a validated copy
+        checked = DPMonomial(m.factors)
+        assert m == checked
+        assert m.weight == checked.weight and hash(m) == hash(checked)
+    full = u.weight + v.weight
+    # at the full weight nothing truncates; below it, the identity-identity
+    # cell of the oracle absorbs the weight that the truncation drops
+    for n in sorted({full, max(u.weight, v.weight, full - drop)}):
+        gu, gv = GammaElement.monomial(u, n), GammaElement.monomial(v, n)
+        assert tau_n(gu, gv, n) == full_margin_tau_oracle(u, v, n), (n, u, v)
+    assert GammaElement(limit.terms, full) == full_margin_tau_oracle(u, v, full)
