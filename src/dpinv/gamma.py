@@ -22,14 +22,25 @@ multiplies the coefficient by C(t+e, e), the divided-power merge, so each
 matrix reads its monomial straight off the nonzero slots, already in
 order.  Such a monomial is built by ``DPMonomial._trusted``, which skips
 the validation and sorting of the public constructor.
+
+Monomials are interned (hash-consed): ``DPMonomial._trusted`` looks its
+factor tuple up in one module-level table and builds an object only on a
+miss, and the public constructor validates, sorts and then goes through
+it.  At most one monomial per factor tuple is alive, so equality is
+identity, and every dict and cache keyed by monomials hashes and compares
+them in C.  The table holds its monomials weakly: an entry goes with the
+last reference to its monomial, so the table is no larger than what the
+bounded caches and the live elements keep.  Pickling and copying go
+through the public constructor and so re-intern.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable
 
 from .backend import Terms, poly_add_scaled
@@ -41,20 +52,28 @@ class ContextError(ValueError):
     """Operands live in different ambient contexts (levels)."""
 
 
+# factor tuple -> its one live DPMonomial; an entry goes with its monomial
+_INTERNED: "weakref.WeakValueDictionary[tuple, DPMonomial]" = \
+    weakref.WeakValueDictionary()
+
+
 class DPMonomial:
     """Product of divided powers of distinct nonempty words.
 
     ``factors`` holds (word, exponent) pairs in graded-lex word order;
-    ``weight`` is |alpha|, the sum of the exponents.
+    ``weight`` is |alpha|, the sum of the exponents.  Monomials are
+    interned (see the module docstring): equal monomials are one object,
+    and equality and hashing are by identity.
     """
 
-    __slots__ = ("factors", "weight", "_hash")
+    __slots__ = ("factors", "weight", "__weakref__")
 
-    def __init__(self, factors: Iterable[tuple[Word, int]] = ()):
+    def __new__(cls, factors: Iterable[tuple[Word, int]] = ()):
         fs = []
         seen = set()
         for w, e in factors:
-            w = Word(w)
+            w = Word(map(index, w))
+            e = index(e)
             if len(w) == 0:
                 raise ValueError("divided powers of the empty word are not stored")
             if e <= 0:
@@ -64,19 +83,24 @@ class DPMonomial:
             seen.add(w)
             fs.append((w, e))
         fs.sort(key=lambda p: (len(p[0]), tuple(p[0])))
-        self.factors = tuple(fs)
-        self.weight = sum(e for _, e in fs)
-        self._hash = hash(self.factors)
+        return cls._trusted(tuple(fs))
 
     @classmethod
     def _trusted(cls, factors: tuple[tuple[Word, int], ...]) -> "DPMonomial":
-        """A monomial from factors already valid and in order; nothing is
-        checked."""
-        m = object.__new__(cls)
-        m.factors = factors
-        m.weight = sum(map(itemgetter(1), factors))
-        m._hash = hash(factors)
+        """The interned monomial of factors already valid and in order;
+        nothing is checked."""
+        m = _INTERNED.get(factors)
+        if m is None:
+            m = object.__new__(cls)
+            m.factors = factors
+            m.weight = sum(map(itemgetter(1), factors))
+            _INTERNED[factors] = m
         return m
+
+    def __reduce__(self):
+        # unpickling and copying go through the constructor, which interns;
+        # the default would refill the slots of a live monomial
+        return DPMonomial, (self.factors,)
 
     @classmethod
     def one(cls) -> "DPMonomial":
@@ -98,12 +122,6 @@ class DPMonomial:
 
     def sort_key(self) -> tuple:
         return tuple((len(w), tuple(w), e) for w, e in self.factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DPMonomial) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def to_str(self, alphabet: Alphabet) -> str:
         return " ".join(f"{w.to_str(alphabet)}^({e})" for w, e in self.factors)
@@ -438,9 +456,10 @@ def enumerate_dp_monomials(d: tuple[int, ...],
 def _dp_monomial_slice(d: tuple[int, ...],
                        max_weight: int | None) -> tuple[DPMonomial, ...]:
     nletters = len(d)
+    # graded-lex words and picks on increasing k: factors already in order
     words = enumerate_words(nletters, max_multidegree=d)
     degs = [w.multidegree(nletters) for w in words]
-    out = [DPMonomial((words[k], e) for k, e in picks)
+    out = [DPMonomial._trusted(tuple((words[k], e) for k, e in picks))
            for picks in multisets(degs, d, max_weight)]
     out.sort(key=DPMonomial.sort_key)
     return tuple(out)

@@ -374,20 +374,24 @@ def _monomials_by_total_degree(max_total: int, alphabet: Alphabet
 def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
                            ) -> VerifyEntry:
     """Associativity, identity and gradedness of tau on every ordered
-    monomial triple within the total-degree bound, in the limit ring."""
+    monomial triple within the total-degree bound, in the limit ring.
+
+    The products of two monomials, u v and v w, are read from the
+    ``tau_monomials`` cache."""
     nletters = len(alphabet)
     by_deg = _monomials_by_total_degree(max_total, alphabet)
+    elements = {m: GammaElement.monomial(m)
+                for monos in by_deg.values() for m in monos}
     ok = True
     one = GammaElement.one(None)
     for du in range(0, max_total + 1):
         for u in by_deg[du]:
-            gu = GammaElement.monomial(u)
+            gu = elements[u]
             if not (tau(one, gu) == gu == tau(gu, one)):
                 ok = False
             for dv in range(0, max_total - du + 1):
                 for v in by_deg[dv]:
-                    gv = GammaElement.monomial(v)
-                    uv = tau(gu, gv)
+                    uv = tau_monomials(u, v)
                     duv = tuple(a + b for a, b in
                                 zip(u.multidegree(nletters),
                                     v.multidegree(nletters)))
@@ -395,8 +399,8 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
                         ok = False
                     for dw in range(0, max_total - du - dv + 1):
                         for w in by_deg[dw]:
-                            gw = GammaElement.monomial(w)
-                            if tau(uv, gw) != tau(gu, tau(gv, gw)):
+                            vw = tau_monomials(v, w)
+                            if tau(uv, elements[w]) != tau(gu, vw):
                                 ok = False
     return VerifyEntry("tau-axioms", 0, (), 0, 0, 0, ok)
 
@@ -404,19 +408,24 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
 def verify_sigma_homomorphism(max_total: int, alphabet: Alphabet, n: int
                               ) -> VerifyEntry:
     """The level-n projection is a ring map on every monomial pair within
-    the bound; the level drop also commutes with the projections."""
+    the bound; the level drop also commutes with the projections.
+
+    Each monomial is projected once; the limit products are read from the
+    ``tau_monomials`` cache."""
     by_deg = _monomials_by_total_degree(max_total, alphabet)
+    projected = {m: sigma_n(GammaElement.monomial(m), n)
+                 for monos in by_deg.values() for m in monos}
     ok = True
     for du in range(0, max_total + 1):
         for u in by_deg[du]:
             gu = GammaElement.monomial(u)
-            su = sigma_n(gu, n)
+            su = projected[u]
             if n >= 1 and rho_n(su) != sigma_n(gu, n - 1):
                 ok = False
             for dv in range(0, max_total - du + 1):
                 for v in by_deg[dv]:
-                    gv = GammaElement.monomial(v)
-                    if sigma_n(tau(gu, gv), n) != tau(su, sigma_n(gv, n)):
+                    uv = tau_monomials(u, v)
+                    if sigma_n(uv, n) != tau(su, projected[v]):
                         ok = False
     return VerifyEntry("tau-axioms", n, (), 0, 0, 0, ok)
 

@@ -1,4 +1,7 @@
+import copy
+import gc
 import itertools
+import pickle
 
 import pytest
 
@@ -284,7 +287,12 @@ def test_limit_basis_counts_match_the_word_generating_function():
             for letters in itertools.product(range(2), repeat=length)]
     series = _geometric_product(degs, max_total, 2)
     for d, count in series.items():
-        assert len(enumerate_dp_monomials(d)) == count, d
+        got = enumerate_dp_monomials(d)
+        assert len(got) == count, d
+        # built by the trusted constructor: a validated copy is the same
+        # interned object, which a factor out of order would not be
+        assert all(m is DPMonomial(m.factors) for m in got), d
+        assert all(m.weight == sum(e for _, e in m.factors) for m in got), d
 
 
 def test_basis_memo_is_bounded_and_hands_out_copies():
@@ -296,6 +304,76 @@ def test_basis_memo_is_bounded_and_hands_out_copies():
     first.append(DPMonomial.one())
     assert enumerate_dp_monomials((2, 1), 2) == expected
     assert enumerate_dp_monomials([2, 1], max_weight=2) == expected
+
+
+def test_monomials_are_interned_and_compare_by_identity():
+    assert DPMonomial.__eq__ is object.__eq__
+    assert DPMonomial.__hash__ is object.__hash__
+    assert mono((XY, 1), (X, 2)) is mono((X, 2), (XY, 1))
+    assert DPMonomial.one() is DPMonomial()
+    assert DPMonomial.single(X, 2) is mono((X, 2))
+    assert mono((X, 1)) is not mono((X, 2))
+
+
+def test_constructor_rejects_non_int_exponents_and_letters():
+    with pytest.raises(TypeError):
+        DPMonomial([(X, 1.5)])
+    # an exact float must not resolve to the interned x^(1)
+    with pytest.raises(TypeError):
+        DPMonomial([(X, 1.0)])
+    with pytest.raises(TypeError):
+        DPMonomial([("x", 1)])
+    with pytest.raises(TypeError):
+        DPMonomial([((0, 1.0), 1)])
+
+    class One:
+        def __index__(self):
+            return 1
+
+    m = DPMonomial([((One(),), One())])
+    assert m is DPMonomial.single(Y)
+    (w, e), = m.factors
+    assert type(w) is Word and type(w[0]) is int and type(e) is int
+
+
+def test_pickle_and_copy_return_the_interned_monomial():
+    one = DPMonomial.one()
+    m = mono((X, 1), (XY, 2))
+    copies = [copy.copy(m), copy.deepcopy(m)]
+    copies += [pickle.loads(pickle.dumps(m, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(c is m for c in copies)
+    assert pickle.loads(pickle.dumps(one)) is one
+    assert DPMonomial.one() is one
+    assert one.factors == () and one.weight == 0
+    assert m.factors == ((X, 1), (XY, 2)) and m.weight == 3
+
+    g = gel({m: 3, mono((X, 2)): -1}, 3)
+    gx = GammaElement.monomial(mono((X, 1)), 3)
+    for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert c == g and c.level == 3
+        assert all(a is b for a, b in zip(c.terms, g.terms))
+        assert c + g == 2 * g
+        assert tau(c, gx) == tau(g, gx) and tau(gx, c) == tau(gx, g)
+    assert DPMonomial.one().factors == ()
+
+
+def test_intern_table_is_weak():
+    gamma.tau_monomials.cache_clear()
+    gamma._dp_monomial_slice.cache_clear()
+    gc.collect()
+    before = len(gamma._INTERNED)
+    YX = word_from_str("yx", AB)
+    g = GammaElement.monomial(mono((X, 1), (XY, 1)))
+    h = GammaElement.monomial(mono((Y, 1), (YX, 1)))
+    product = tau(g, h)
+    assert product.multidegrees(2) == {(3, 3)}
+    assert len(gamma._INTERNED) > before
+    del g, h, product
+    gamma.tau_monomials.cache_clear()
+    gamma._dp_monomial_slice.cache_clear()
+    gc.collect()
+    assert len(gamma._INTERNED) == before
 
 
 def test_parse_format_roundtrip():
