@@ -16,11 +16,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .backend import poly_add_scaled
-from .freering import Alphabet, ParseError, parse_freepoly
+from .freering import Alphabet, ParseError, Scanner, parse_freepoly
 from .gamma import format_gamma, parse_gamma, tau
 from .invariants import MatrixInvariants
-from .symfunc import SymPoly, format_sympoly, m_to_e, parse_sympoly
+from .symfunc import format_sympoly, m_to_e, parse_sympoly
 from .theorems import (VerifyEntry, multidegrees, verify_cayley_hamilton,
                        verify_plethysm_cell, verify_sigma_homomorphism,
                        verify_tau_ring_axioms, verify_thm_2_2_2_cell,
@@ -30,22 +29,20 @@ from .universal import build_An, load_presentation
 THEOREMS = ("2.2.2", "ch", "plethysm", "zubkov", "tau-axioms")
 
 
-def _print_parse_error(text: str, err: ParseError) -> None:
-    print(f"error: {err}", file=sys.stderr)
-    print(f"  {text}", file=sys.stderr)
-    print("  " + " " * err.pos + "^", file=sys.stderr)
-
-
 def _parse_n_list(spec: str) -> list[int]:
     """Accept '2', '1..3' or '1,2,3'."""
+    sc = Scanner(spec)
     out: set[int] = set()
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        elif part:
-            out.add(int(part))
+    try:
+        while True:
+            lo = sc.integer()
+            hi = sc.integer() if sc.take("..") else lo
+            out.update(range(lo, hi + 1))
+            if not sc.take(","):
+                break
+        sc.end()
+    except ParseError:
+        out.clear()  # reported below, like an empty list
     if not out or min(out) < 1:
         raise ValueError(f"bad level list {spec!r}")
     return sorted(out)
@@ -147,43 +144,26 @@ def _report_text(report: dict) -> str:
 
 def cmd_tau(args) -> int:
     alphabet = Alphabet.default(args.letters)
-    operands = []
-    for text in (args.lhs, args.rhs):
-        try:
-            operands.append(parse_gamma(text, alphabet))
-        except ParseError as err:
-            _print_parse_error(text, err)
-            return 2
-    print(format_gamma(tau(*operands), alphabet))
+    lhs, rhs = (parse_gamma(t, alphabet) for t in (args.lhs, args.rhs))
+    print(format_gamma(tau(lhs, rhs), alphabet))
     return 0
 
 
 def cmd_pi(args) -> int:
     alphabet = Alphabet.default(args.letters)
-    try:
-        g = parse_gamma(args.element, alphabet)
-    except ParseError as err:
-        _print_parse_error(args.element, err)
-        return 2
+    g = parse_gamma(args.element, alphabet)
     if g.level is None:
-        print("error: the invariant image needs a truncated context "
-              "(use | n=<level>)", file=sys.stderr)
-        return 2
+        raise ValueError("the invariant image needs a truncated context "
+                         "(use | n=<level>)")
     print(MatrixInvariants.get(alphabet, g.level).pi_n_eval(g).to_str())
     return 0
 
 
 def cmd_sym(args) -> int:
-    try:
-        sym = parse_sympoly(args.expr)
-    except ParseError as err:
-        _print_parse_error(args.expr, err)
-        return 2
+    sym = parse_sympoly(args.expr)
     if sym.basis == "m":
-        acc: dict = {}
-        for p, c in sym.sorted_terms():
-            poly_add_scaled(acc, m_to_e(p, sym.nvars).terms, c)
-        sym = SymPoly("e", acc, sym.nvars)
+        (alpha,) = sym.terms  # the parser reads one basis element
+        sym = m_to_e(alpha, sym.nvars)
     print(format_sympoly(sym))
     return 0
 
@@ -193,9 +173,8 @@ def cmd_verify(args) -> int:
     thms = THEOREMS if args.thm == "all" else tuple(args.thm.split(","))
     for t in thms:
         if t not in THEOREMS:
-            print(f"error: unknown theorem {t!r}; choose from "
-                  f"{', '.join(THEOREMS)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown theorem {t!r}; choose from "
+                             f"{', '.join(THEOREMS)}")
     cfg = {
         "letters": "".join(Alphabet.default(args.letters).names),
         "n": n_list,
@@ -229,13 +208,11 @@ def cmd_universal(args) -> int:
         with open(args.presentation) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read presentation: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read presentation: {err}") from None
     try:
         pres = load_presentation(data)
-    except (ParseError, ValueError, KeyError) as err:
-        print(f"error: bad presentation: {err}", file=sys.stderr)
-        return 2
+    except ValueError as err:
+        raise ValueError(f"bad presentation: {err}") from None
     gens, images = build_An(pres, args.n)
     out = {
         "n": args.n,
@@ -306,13 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; an input error (a ValueError the command does not
-    report itself) prints as ``error: ...`` and exits with code 2."""
+    """Run one command; an input error (a ValueError) prints as
+    ``error: ...`` and exits with code 2.  A parse error also prints its
+    text with a caret under the offset."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, ParseError):
+            print(f"  {err.text}\n  {' ' * err.pos}^", file=sys.stderr)
         return 2
 
 

@@ -9,20 +9,23 @@ constant term.  Everything here is an immutable value.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Iterator
 
 from .backend import Terms
 
 
 class ParseError(ValueError):
-    """Raised on malformed text input; carries the 0-based offset."""
+    """Raised on malformed text input; carries the text and the offset."""
 
-    def __init__(self, message: str, pos: int):
+    def __init__(self, message: str, pos: int, text: str):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+        self.text = text
 
 
 _LETTER_POOL = "xyzwabcdefghijklmnopqrstuv"
+_SPACE = re.compile(r"\s*")  # what str.isspace accepts
 
 
 class Alphabet:
@@ -34,6 +37,10 @@ class Alphabet:
         names = tuple(names)
         if not names:
             raise ValueError("alphabet must be nonempty")
+        for s in names:
+            if not (isinstance(s, str) and len(s) == 1 and s.isalpha()):
+                raise ValueError(
+                    f"letters must be single alphabetic characters, not {s!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate letters in alphabet")
         self.names = names
@@ -367,70 +374,95 @@ def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+class Scanner:
+    """Reads one text left to right, skipping whitespace before each token.
+
+    ``pos`` is the offset of the next unread character.  Every error is a
+    ``ParseError`` at an offset into the text as given, and integers are
+    runs of the ASCII digits ``0-9``.
+    """
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos, self.text)
+
+    def peek(self) -> str:
+        """The next character after whitespace, or '' at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def take(self, *tokens: str) -> str:
+        """Read the first of tokens that comes next and return it, or ''."""
+        self.peek()
+        for token in tokens:
+            if self.text.startswith(token, self.pos):
+                self.pos += len(token)
+                return token
+        return ""
+
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
+
+    def run(self, chars) -> str:
+        """Read the longest run of characters in chars that comes next."""
+        self.peek()
+        start = end = self.pos
+        while end < len(self.text) and self.text[end] in chars:
+            end += 1
+        self.pos = end
+        return self.text[start:end]
+
+    def integer(self, required: bool = True) -> int | None:
+        """Read an unsigned integer; None if none comes next and it is not
+        required."""
+        digits = self.run("0123456789")
+        if not digits and required:
+            raise self.error("expected an integer")
+        return int(digits) if digits else None
+
+    def end(self) -> None:
+        """Fail unless only whitespace is left."""
+        if self.peek():
+            raise self.error(f"unexpected character {self.peek()!r}")
+
+    def signed_terms(self) -> Iterator[int]:
+        """Yield the sign of each term of ``[+|-] t {(+|-) t}`` running to
+        the end of the text; the caller reads each term after its sign."""
+        first = True
+        while first or self.peek():
+            sign = self.take("+", "-")
+            if not (sign or first):
+                self.end()
+            first = False
+            yield -1 if sign == "-" else 1
+
+
 def parse_freepoly(text: str, alphabet: Alphabet) -> FreePoly:
     """Parse syntax like ``2*x*y^2 - y*x + 1``; whitespace-insensitive."""
-    pos = 0
-    n = len(text)
+    sc = Scanner(text)
+    result = FreePoly()
+    for sign in sc.signed_terms():
+        term = _factor(sc, alphabet)
+        while sc.take("*"):
+            term = term * _factor(sc, alphabet)
+        result = result + term * sign
+    return result
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
 
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", pos)
-        return int(text[start:pos])
-
-    def parse_factor() -> FreePoly:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise ParseError("unexpected end of input", pos)
-        ch = text[pos]
-        if ch.isdigit():
-            return FreePoly({Word(): parse_int()})
-        if ch in alphabet._index:
-            pos += 1
-            exp = 1
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                exp = parse_int()
-            return FreePoly({Word((alphabet.index(ch),) * exp): 1})
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    def parse_term() -> FreePoly:
-        nonlocal pos
-        f = parse_factor()
-        while True:
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                f = f * parse_factor()
-            else:
-                return f
-
-    skip_ws()
-    sign = 1
-    if pos < n and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    result = parse_term() * sign
-    while True:
-        skip_ws()
-        if pos >= n:
-            return result
-        if text[pos] == "+":
-            pos += 1
-            result = result + parse_term()
-        elif text[pos] == "-":
-            pos += 1
-            result = result - parse_term()
-        else:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+def _factor(sc: Scanner, alphabet: Alphabet) -> FreePoly:
+    """A letter with an optional ``^exponent``, or an integer constant."""
+    ch = sc.take(*alphabet.names)
+    if ch:
+        exp = sc.integer() if sc.take("^") else 1
+        return FreePoly.from_word(Word((alphabet.index(ch),) * exp))
+    c = sc.integer(required=False)
+    if c is None:
+        sc.end()
+        raise sc.error("unexpected end of input")
+    return FreePoly({Word(): c})

@@ -44,8 +44,9 @@ from operator import index, itemgetter
 from typing import Iterable
 
 from .backend import Terms, poly_add_scaled
-from .freering import (Alphabet, FreePoly, ParseError, Word, compositions,
-                       enumerate_words, format_signed_sum, multisets)
+from .freering import (Alphabet, FreePoly, Scanner, Word, compositions,
+                       enumerate_words, format_signed_sum, multisets,
+                       word_from_str)
 
 
 class ContextError(ValueError):
@@ -474,109 +475,49 @@ def format_gamma(g: GammaElement, alphabet: Alphabet) -> str:
 
 def parse_gamma(text: str, alphabet: Alphabet) -> GammaElement:
     """Parse the bracket syntax; all brackets must share one context."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def parse_int() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", pos)
-        return int(text[start:pos])
-
-    def parse_word() -> Word:
-        nonlocal pos
-        letters = []
-        while pos < n and text[pos] in alphabet._index:
-            letters.append(alphabet.index(text[pos]))
-            pos += 1
-        if not letters:
-            raise ParseError("expected a word", pos)
-        return Word(letters)
-
-    def parse_bracket() -> tuple[DPMonomial, int | None]:
-        nonlocal pos
-        expect("[")
-        factors = []
-        while True:
-            skip_ws()
-            if pos < n and text[pos] == "|":
-                pos += 1
-                break
-            w = parse_word()
-            skip_ws()
-            expect("^")
-            expect("(")
-            e = parse_int()
-            expect(")")
-            factors.append((w, e))
-        skip_ws()
-        if text[pos:pos + 3] == "lim":
-            pos += 3
-            level = None
-        elif pos < n and text[pos] == "n":
-            pos += 1
-            expect("=")
-            level = parse_int()
-        else:
-            raise ParseError("expected 'lim' or 'n=<int>'", pos)
-        expect("]")
-        try:
-            mono = DPMonomial(factors)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-        return mono, level
-
-    def parse_item() -> tuple[int, DPMonomial, int | None]:
-        nonlocal pos
-        skip_ws()
-        coeff = 1
-        if pos < n and text[pos].isdigit():
-            coeff = parse_int()
-            expect("*")
-        mono, level = parse_bracket()
-        return coeff, mono, level
-
-    skip_ws()
-    sign = 1
-    if pos < n and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    coeff, mono, level = parse_item()
-    terms = {mono: sign * coeff}
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] == "+":
-            s = 1
-        elif text[pos] == "-":
-            s = -1
-        else:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-        c, m, lv = parse_item()
-        if lv != level:
-            raise ParseError("mixed contexts in one element", pos)
-        terms[m] = terms.get(m, 0) + s * c
+    sc = Scanner(text)
+    terms: dict[DPMonomial, int] = {}
+    level = None
+    for sign in sc.signed_terms():
+        coeff = sc.integer(required=False)
+        if coeff is not None:
+            sc.expect("*")
+            sign *= coeff
+        mono, lv = _bracket(sc, alphabet)
+        if terms and lv != level:
+            raise sc.error("mixed contexts in one element")
+        level = lv
+        terms[mono] = terms.get(mono, 0) + sign
     if level is not None:
         for m in terms:
             if m.weight > level:
-                raise ParseError(
-                    f"monomial weight {m.weight} exceeds level {level}", pos)
+                raise sc.error(
+                    f"monomial weight {m.weight} exceeds level {level}")
     return GammaElement(terms, level)
+
+
+def _bracket(sc: Scanner, alphabet: Alphabet
+             ) -> tuple[DPMonomial, int | None]:
+    """``[w^(e) ... | lim]`` or ``[w^(e) ... | n=<level>]``."""
+    sc.expect("[")
+    factors = []
+    while not sc.take("|"):
+        letters = sc.run(alphabet._index)
+        if not letters:
+            raise sc.error("expected a word")
+        sc.expect("^")
+        sc.expect("(")
+        factors.append((word_from_str(letters, alphabet), sc.integer()))
+        sc.expect(")")
+    if sc.take("lim"):
+        level = None
+    elif sc.take("n"):
+        sc.expect("=")
+        level = sc.integer()
+    else:
+        raise sc.error("expected 'lim' or 'n=<int>'")
+    sc.expect("]")
+    try:
+        return DPMonomial(factors), level
+    except ValueError as exc:
+        raise sc.error(str(exc)) from None

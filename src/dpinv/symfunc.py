@@ -28,7 +28,7 @@ import functools
 import itertools
 
 from .backend import poly_add_scaled, poly_mul
-from .freering import (FreePoly, ParseError, distinct_permutations,
+from .freering import (FreePoly, Scanner, distinct_permutations,
                        format_signed_sum, multisets)
 from .gamma import GammaElement, dp_expand, tau
 
@@ -98,6 +98,8 @@ class SymPoly:
     def __init__(self, basis: str, terms: dict[Partition, int], nvars: int):
         if basis not in ("m", "e"):
             raise ValueError("basis must be 'm' or 'e'")
+        if nvars < 0:
+            raise ValueError(f"negative variable count {nvars}")
         clean = {}
         for p, c in terms.items():
             p = check_partition(p)
@@ -214,32 +216,20 @@ def rho_a_substitute(sym: SymPoly, a: FreePoly) -> GammaElement:
 
 def parse_sympoly(text: str) -> SymPoly:
     """Parse ``e[2,1]`` / ``m[3,1,1]`` with optional ``@nvars`` suffix."""
-    s = text.strip()
-    if not s or s[0] not in "em":
-        raise ParseError("expected basis letter 'e' or 'm'", 0)
-    basis = s[0]
-    if len(s) < 2 or s[1] != "[":
-        raise ParseError("expected '['", 1)
-    close = s.find("]")
-    if close < 0:
-        raise ParseError("missing ']'", len(s))
-    inner = s[2:close].strip()
-    try:
-        parts = tuple(int(p) for p in inner.split(",")) if inner else ()
-    except ValueError:
-        raise ParseError("bad partition entry", 2) from None
-    rest = s[close + 1:].strip()
-    if rest.startswith("@"):
-        try:
-            nvars = int(rest[1:])
-        except ValueError:
-            raise ParseError("bad variable count", close + 2) from None
-    elif rest:
-        raise ParseError(f"unexpected trailing text {rest!r}", close + 1)
-    else:
-        nvars = max(sum(parts), 1)
-    return SymPoly(basis, {check_partition(parts): 1} if parts else {(): 1},
-                   nvars)
+    sc = Scanner(text)
+    basis = sc.take("e", "m")
+    if not basis:
+        raise sc.error("expected basis letter 'e' or 'm'")
+    sc.expect("[")
+    parts = []
+    if not sc.take("]"):
+        parts.append(sc.integer())
+        while sc.take(","):
+            parts.append(sc.integer())
+        sc.expect("]")
+    nvars = sc.integer() if sc.take("@") else max(sum(parts), 1)
+    sc.end()
+    return SymPoly(basis, {tuple(parts): 1}, nvars)
 
 
 def format_sympoly(sym: SymPoly) -> str:

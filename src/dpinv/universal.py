@@ -37,12 +37,15 @@ def load_presentation(data: dict) -> Presentation:
     {"generators": ["x", "y"], "relations": ["x*y - y*x - 1"]}."""
     if not isinstance(data, dict):
         raise ValueError("presentation must be a JSON object")
-    gens = data.get("generators")
+    gens, rels = data.get("generators", []), data.get("relations", [])
+    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+               for v in (gens, rels)):
+        raise ValueError("generators and relations must be lists of strings")
     if not gens:
         raise ValueError("presentation needs at least one generator")
     alphabet = Alphabet(gens)
-    rels = tuple(parse_freepoly(r, alphabet) for r in data.get("relations", []))
-    return Presentation(alphabet, rels)
+    return Presentation(alphabet, tuple(parse_freepoly(r, alphabet)
+                                        for r in rels))
 
 
 def build_An(p: Presentation, n: int

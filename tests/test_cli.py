@@ -75,6 +75,24 @@ def test_sym_command(capsys):
     (("sym", "m[1,1,1]@2"), "m_(1, 1, 1) vanishes in 2 variables"),
     (("sym", "e[3]@2"), "e_3 vanishes in 2 variables"),
     (("sym", "m[1,2]"), "partition parts must be weakly decreasing"),
+    (("verify", "--n", "1.."), "bad level list '1..'"),
+    (("verify", "--n", "a"), "bad level list 'a'"),
+    (("verify", "--n", "1,,3"), "bad level list '1,,3'"),
+    (("verify", "--n", "0..2"), "bad level list '0..2'"),
+    # a parse error prints its text and a caret under the offset
+    (("sym", "e[]@-1"), "expected an integer (at position 4)\n"
+                        "  e[]@-1\n"
+                        "      ^"),
+    (("sym", "   e[2,x]"), "expected an integer (at position 7)\n"
+                           "     e[2,x]\n"
+                           "         ^"),
+    (("tau", "2²*[x^(1)|lim]", "[x^(1)|lim]"),
+     "expected '*' (at position 1)\n"
+     "  2²*[x^(1)|lim]\n"
+     "   ^"),
+    (("pi", "[x^(1)|n=2] 3"), "unexpected character '3' (at position 12)\n"
+                              "  [x^(1)|n=2] 3\n"
+                              "              ^"),
 ])
 def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -221,10 +239,18 @@ def test_universal_bad_presentation(tmp_path, capsys):
     ("[1, 2]", "1", "bad presentation: presentation must be a JSON object"),
     ('{"generators": ["x"], "relations": ["x^2"]}', "0",
      "matrix order must be at least 1"),
+    ('{"generators": ["x"], "relations": [1]}', "1",
+     "bad presentation: generators and relations must be lists of strings"),
+    ('{"generators": ["x"], "relations": "x"}', "1",
+     "bad presentation: generators and relations must be lists of strings"),
+    ('{"generators": [1, 2]}', "1",
+     "bad presentation: generators and relations must be lists of strings"),
+    ('{"generators": ["xy"]}', "1", "bad presentation: letters must be "
+     "single alphabetic characters, not 'xy'"),
 ])
 def test_universal_bad_input_is_a_clear_error(tmp_path, capsys, text, n,
                                               message):
-    # both ended in a traceback
+    # each ended in a traceback or was misread
     pres = tmp_path / "pres.json"
     pres.write_text(text)
     code, out, err = run(capsys, "universal", str(pres), "--n", n)

@@ -251,6 +251,14 @@ def test_parse_whitespace_insensitive():
     assert fp("2*x*y^2 - y*x") == fp("  2 * x * y ^ 2-y*x ")
 
 
+def test_alphabet_letters_are_single_alphabetic_characters():
+    # the parsers read one character per letter
+    for names in (["xy"], [1, 2], "x+", ["", "x"]):
+        with pytest.raises(ValueError, match="single alphabetic"):
+            Alphabet(names)
+    assert Alphabet(["x", "y"]) == AB
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         fp("2*x*q")

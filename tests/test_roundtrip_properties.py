@@ -1,6 +1,9 @@
 """Property tests: parsing what the printers print gives the value back,
 for the free-ring, divided-power and symmetric-function syntax.  All three
-printers go through ``freering.format_signed_sum``."""
+printers go through ``freering.format_signed_sum``.  On any other text each
+parser returns or raises a ParseError at an offset inside the text."""
+
+import re
 
 import pytest
 
@@ -8,7 +11,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dpinv.freering import Alphabet, FreePoly, Word, parse_freepoly  # noqa: E402
+from dpinv.freering import (Alphabet, FreePoly, ParseError, Word,  # noqa: E402
+                            parse_freepoly)
 from dpinv.gamma import (GammaElement, enumerate_dp_monomials,  # noqa: E402
                          format_gamma, parse_gamma)
 from dpinv.symfunc import SymPoly, format_sympoly, parse_sympoly  # noqa: E402
@@ -68,3 +72,29 @@ def test_sympoly_roundtrip(s):
     text = format_sympoly(s)
     assert parse_sympoly(text) == s
     assert format_sympoly(parse_sympoly(text)) == text
+
+
+# a run of four digits after '^' would spell a word of thousands of letters
+HUGE_POWER = re.compile(r"\^\s*[0-9]{4}")
+# range checks of well-formed symmetric functions, plain ValueErrors
+SYM_RANGE = re.compile(r"partition parts must be .*|[em]_.* vanishes in .*")
+
+
+@pytest.mark.parametrize("parse, chars", [
+    (lambda t: parse_freepoly(t, ABC), "xyq 0129^*+-\t"),
+    (lambda t: parse_gamma(t, ABC), "[]()^|xyq limn=0129*+- "),
+    (parse_sympoly, "em[],@0129- "),
+])
+def test_parsers_return_or_raise_a_parse_error_inside_the_text(parse, chars):
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(chars + "²٣", max_size=16).filter(
+        lambda t: not HUGE_POWER.search(t)))
+    def check(text):
+        try:
+            parse(text)
+        except ParseError as err:
+            assert 0 <= err.pos <= len(text) and err.text == text
+        except ValueError as err:
+            assert parse is parse_sympoly and SYM_RANGE.fullmatch(str(err))
+
+    check()

@@ -197,6 +197,13 @@ def test_parse_and_format():
                          + "@6").terms == s2.terms
 
 
+def test_variable_count_is_not_negative():
+    # "e[]@-1" parsed and printed back
+    assert SymPoly("e", {(): 1}, 0).nvars == 0
+    with pytest.raises(ValueError, match="negative variable count -1"):
+        SymPoly("e", {(): 1}, -1)
+
+
 def test_partitions_enumeration():
     assert partitions(4, max_parts=2) == [(4,), (3, 1), (2, 2)]
     assert partitions(0) == [()]
