@@ -5,9 +5,11 @@ Sparse polynomials are dicts mapping a packed monomial key (a non-negative
 int whose fixed-width bit fields hold the exponents) to a nonzero int
 coefficient.  Packed keys add when monomials multiply.  ``poly_mul`` does
 not look at the fields: ``invariants.PolyRing.checked`` guards every
-product once, raising ``OverflowError`` when an exponent reaches 128, the
-top bit of its 8-bit field.  Exponents below that bound sum to less than
-256, so no product carries into the next field unnoticed.  ``poly_mul``
+product once, raising ``OverflowError`` when an exponent reaches
+``EXPONENT_BOUND`` (128), the top bit of its 8-bit field.  Exponents below
+that bound sum to less than 256, so no product carries into the next field
+unnoticed.  ``freering`` rejects letter powers from the same bound on: the
+generic-matrix image of ``x^k`` holds ``x[x][1][1]^k``.  ``poly_mul``
 also multiplies the symmetric-function monomials of ``symfunc``, whose
 fields are sized to the weight being expanded so that they cannot carry.
 It is the one multiply loop over commutative monomials.
@@ -32,6 +34,9 @@ from collections import defaultdict
 from collections.abc import Mapping
 from itertools import compress, count, repeat
 from operator import contains, index
+
+
+EXPONENT_BOUND = 128
 
 
 def backend_name() -> str:

@@ -283,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; an input error (a ValueError) prints as
-    ``error: ...`` and exits with code 2.  A parse error also prints its
-    text with a caret under the offset."""
+    """Run one command; an input error (a ValueError, or an OverflowError
+    past the packing bound) prints as ``error: ...`` and exits with code 2.
+    A parse error also prints its text with a caret under the offset."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, ParseError):
             print(f"  {err.text}\n  {' ' * err.pos}^", file=sys.stderr)

@@ -12,7 +12,7 @@ import itertools
 import re
 from typing import Iterable, Iterator
 
-from .backend import Terms
+from .backend import EXPONENT_BOUND, Terms
 
 
 class ParseError(ValueError):
@@ -456,10 +456,18 @@ def parse_freepoly(text: str, alphabet: Alphabet) -> FreePoly:
 
 
 def _factor(sc: Scanner, alphabet: Alphabet) -> FreePoly:
-    """A letter with an optional ``^exponent``, or an integer constant."""
+    """A letter with an optional ``^exponent`` below ``EXPONENT_BOUND``, or
+    an integer constant."""
     ch = sc.take(*alphabet.names)
     if ch:
-        exp = sc.integer() if sc.take("^") else 1
+        exp = 1
+        if sc.take("^"):
+            sc.peek()
+            at = sc.pos
+            exp = sc.integer()
+            if exp >= EXPONENT_BOUND:
+                raise ParseError(f"exponent {exp} is not below the packing's "
+                                 f"bound {EXPONENT_BOUND}", at, sc.text)
         return FreePoly.from_word(Word((alphabet.index(ch),) * exp))
     c = sc.integer(required=False)
     if c is None:

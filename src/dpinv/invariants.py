@@ -4,7 +4,8 @@ Commutative polynomials live in a ring whose variables are the
 matrix-entry variables x[s][i][j], ordered by (letter, row, column).  A
 monomial is packed into a single int with an 8-bit field per variable, so
 monomial products are plain integer additions.  The top bit of each field
-is a guard: every exponent a ring holds stays below 128 (``_BOUND``).
+is a guard: every exponent a ring holds stays below 128
+(``backend.EXPONENT_BOUND``).
 ``PolyRing.pack`` and ``monomials_up_to`` reject larger exponents, and every
 product checks its result once for a set guard bit and raises
 ``OverflowError``.  Two exponents below the bound sum to less than 256, so
@@ -37,16 +38,15 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import add, mul, or_
 
-from .backend import Terms, poly_add_scaled, poly_mul
+from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
                        cyclic_normal_form, enumerate_necklaces,
                        enumerate_words, format_signed_sum, multisets,
                        primitive_decompose)
 from .gamma import ContextError, DPMonomial, GammaElement
 
-_WIDTH = 8
+_WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
 _MASK = (1 << _WIDTH) - 1
-_BOUND = 1 << (_WIDTH - 1)  # every exponent stays below its field's guard bit
 
 
 class PolyRing:
@@ -68,7 +68,8 @@ class PolyRing:
                     names.append(f"x[{s}][{i}][{j}]")
         self.names = tuple(names)
         self.nvars = len(names)
-        self.guard = sum(_BOUND << (_WIDTH * idx) for idx in range(self.nvars))
+        self.guard = sum(EXPONENT_BOUND << (_WIDTH * idx)
+                         for idx in range(self.nvars))
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, PolyRing)
@@ -82,7 +83,7 @@ class PolyRing:
         """The terms, after checking every exponent is below the bound."""
         if reduce(or_, terms, 0) & self.guard:
             raise OverflowError(
-                f"an exponent reached {_BOUND}, the packing's bound")
+                f"an exponent reached {EXPONENT_BOUND}, the packing's bound")
         return terms
 
     def x_index(self, s: int, i: int, j: int) -> int:
@@ -95,10 +96,10 @@ class PolyRing:
             if e:
                 if e < 0:
                     raise ValueError("negative exponent")
-                if e >= _BOUND:
+                if e >= EXPONENT_BOUND:
                     raise OverflowError(
                         f"exponent {e} is not below the packing's bound "
-                        f"{_BOUND}")
+                        f"{EXPONENT_BOUND}")
                 key |= e << (_WIDTH * idx)
         return key
 
@@ -111,9 +112,9 @@ class PolyRing:
 
     def monomials_up_to(self, max_deg: int) -> list[int]:
         """Sorted packed keys of every monomial of total degree <= max_deg."""
-        if max_deg >= _BOUND:
-            raise OverflowError(
-                f"degree {max_deg} is not below the packing's bound {_BOUND}")
+        if max_deg >= EXPONENT_BOUND:
+            raise OverflowError(f"degree {max_deg} is not below the "
+                                f"packing's bound {EXPONENT_BOUND}")
         return sorted(self.pack(exps) for total in range(max_deg + 1)
                       for exps in compositions(total, self.nvars))
 
@@ -471,13 +472,13 @@ class MatrixInvariants:
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
         out: list[CommPoly] = []
-        seen: set[tuple] = set()
+        seen: set[frozenset] = set()
         # distinct choices can give equal products: e_1(x) e_1(y) == e_1(xy)
         # at n=1
         for picks in multisets(degs, d):
             p = self._product(d, tuple(sorted(
                 cands[k] for k, e in picks for _ in range(e))))
-            key = tuple(sorted(p.terms.items()))
+            key = frozenset(p.terms.items())
             if key not in seen:
                 seen.add(key)
                 out.append(p)

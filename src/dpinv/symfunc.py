@@ -1,9 +1,9 @@
 """Symmetric polynomials in a bounded number of variables.
 
 Only what the divided-power identities need: the monomial and elementary
-bases, base change by leading-term elimination, plethysm by a power sum
-(computed by literal substitution of n-th powers), and the substitution
-e_j -> f^(j) into the divided-power ring.
+bases, base change by leading-term elimination, plethysm of e_i by a power
+sum (the monomial function of a rectangular partition), and the
+substitution e_j -> f^(j) into the divided-power ring.
 
 Expanded polynomials are the sparse ``{packed key: int}`` dicts of
 ``backend``, so ``backend.poly_mul`` multiplies the e-products and
@@ -12,8 +12,7 @@ this module: the exponent of variable j sits in bit field j, and every
 field is ``max(weight, 1).bit_length()`` bits wide, where weight is the
 largest total degree of the polynomial being expanded.  No exponent can
 exceed that weight, and the weight is below ``2**width``, so no field ever
-carries and the width needs no guard.  Substituting x_j -> x_j^n in e_i
-multiplies a key by n: every exponent becomes 0 or n, within the weight n*i.
+carries and the width needs no guard.
 
 Comparing packed keys is lex order read from the last variable.  The lead
 of a symmetric polynomial is therefore its dominant partition written in
@@ -168,8 +167,9 @@ def m_to_e(alpha, nvars: int) -> SymPoly:
 def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:
     """e_i composed with the n-th power sum, in the e-basis.
 
-    Substitutes x_j -> x_j^n directly in the expanded form; exact at weight
-    n*i provided nvars >= n*i.  Memoized; every call returns a fresh SymPoly.
+    e_i o p_n is m_(n^i), the monomial function of the partition (n,) * i,
+    so this is its ``m_to_e``; exact at weight n*i provided nvars >= n*i.
+    Memoized; every call returns a fresh SymPoly.
     """
     if nvars < n * i:
         raise ValueError(f"need at least {n * i} variables, got {nvars}")
@@ -179,9 +179,7 @@ def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:
 @functools.lru_cache(maxsize=256)
 def _plethysm_terms(i: int, n: int, nvars: int
                     ) -> tuple[tuple[Partition, int], ...]:
-    width = _width(n * i)
-    substituted = {k * n: v for k, v in _e_k_monomials(i, nvars, width).items()}
-    return tuple(_monomials_to_e(substituted, nvars, width).items())
+    return tuple(m_to_e((n,) * i, nvars).terms.items())
 
 
 def c_alpha(alpha, n: int) -> int:

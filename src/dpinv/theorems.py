@@ -8,16 +8,17 @@ entries.  Failures are report entries, never exceptions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 from .backend import poly_add_scaled
 from .exactla import ExactMatrix
 from .freering import Alphabet, FreePoly, Word, compositions, enumerate_words
-from .gamma import (DPMonomial, GammaElement, dp_expand,
+from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
-from .invariants import MatrixInvariants
+from .invariants import MatrixInvariants, MatrixPoly
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
@@ -67,41 +68,48 @@ def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
             if all(a <= b for a, b in zip(e, d))]
 
 
-def _commutator_rows(d: tuple[int, ...], level: int | None,
-                     index: dict[DPMonomial, int]) -> list[list[int]]:
-    """Left tau-multiples a (u v - v u) landing in multidegree d.
-
-    Right multiples are redundant: [u,v] b = b [u,v] + [[u,v], b].
-    """
+def _left_multiples(d: tuple[int, ...], level: int | None, gens,
+                    index: dict[DPMonomial, int]) -> list[list[int]]:
+    """Coefficient rows of every nonzero left tau-multiple a g in
+    multidegree d.  ``gens`` yields groups (e, [g, ...]) of generators of
+    multidegree e <= d; a runs over the basis monomials of multidegree
+    d - e, enumerated once per group."""
     rows: list[list[int]] = []
-    for da in _sub_multidegrees(d):
-        rest = tuple(x - y for x, y in zip(d, da))
-        if sum(rest) < 2:
-            continue
-        a_monos = enumerate_dp_monomials(da, level)
-        if not a_monos:
-            continue
-        for du in _sub_multidegrees(rest):
-            if sum(du) == 0:
-                continue
-            dv = tuple(x - y for x, y in zip(rest, du))
-            if sum(dv) == 0 or du > dv:
+    for e, group in gens:
+        rest = tuple(x - y for x, y in zip(d, e))
+        multipliers = [GammaElement.monomial(a, level)
+                       for a in enumerate_dp_monomials(rest, level)]
+        for g in group:
+            for a in multipliers:
+                row_el = tau(a, g)
+                if not row_el.is_zero():
+                    rows.append(row_el.coeff_vector(index))
+    return rows
+
+
+def _commutators(d: tuple[int, ...], level: int | None):
+    """Groups (e, the nonzero u v - v u of multidegree e, each unordered
+    pair of basis monomials once) for every e <= d with |e| >= 2, by
+    decreasing (|e|, e); a group is computed as it is read.  Right multiples
+    are redundant for the ideal: [u,v] b = b [u,v] + [[u,v], b]."""
+    def group(e):
+        for du in _sub_multidegrees(e):
+            dv = tuple(x - y for x, y in zip(e, du))
+            if sum(du) == 0 or sum(dv) == 0 or du > dv:
                 continue
             us = enumerate_dp_monomials(du, level)
             vs = us if du == dv else enumerate_dp_monomials(dv, level)
             for iu, u in enumerate(us):
                 gu = GammaElement.monomial(u, level)
-                start = iu + 1 if du == dv else 0
-                for v in vs[start:]:
+                for v in vs[iu + 1 if du == dv else 0:]:
                     gv = GammaElement.monomial(v, level)
                     comm = tau(gu, gv) - tau(gv, gu)
-                    if comm.is_zero():
-                        continue
-                    for a in a_monos:
-                        row_el = tau(GammaElement.monomial(a, level), comm)
-                        if not row_el.is_zero():
-                            rows.append(row_el.coeff_vector(index))
-    return rows
+                    if not comm.is_zero():
+                        yield comm
+
+    for e in reversed(_sub_multidegrees(d)):
+        if sum(e) >= 2:
+            yield e, group(e)
 
 
 def abelianized_piece(n: int, d: tuple[int, ...]
@@ -110,7 +118,7 @@ def abelianized_piece(n: int, d: tuple[int, ...]
     the commutator-relation matrix whose cokernel is the abelianized slice."""
     basis = enumerate_dp_monomials(d, n)
     index = {m: i for i, m in enumerate(basis)}
-    rows = _commutator_rows(d, n, index)
+    rows = _left_multiples(d, n, _commutators(d, n), index)
     return basis, ExactMatrix(rows, len(basis))
 
 
@@ -206,79 +214,46 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
                        passed, torsion=torsion)
 
 
-class TauExpr:
-    """Expression tree over single-word divided powers combined by tau."""
+def reduce_to_single_generators(m: DPMonomial, _memo: dict | None = None
+                                ) -> dict[tuple[DPMonomial, ...], int]:
+    """Rewrite a monomial as a tau-polynomial in single-word divided powers.
 
-    def eval(self) -> GammaElement:
-        raise NotImplementedError
-
-
-@dataclass
-class TauOne(TauExpr):
-    def eval(self) -> GammaElement:
-        return GammaElement.one(None)
-
-
-@dataclass
-class TauLeaf(TauExpr):
-    word: Word
-    exp: int
-
-    def eval(self) -> GammaElement:
-        return GammaElement.monomial(DPMonomial.single(self.word, self.exp))
-
-
-@dataclass
-class TauProduct(TauExpr):
-    left: TauExpr
-    right: TauExpr
-
-    def eval(self) -> GammaElement:
-        return tau(self.left.eval(), self.right.eval())
-
-
-@dataclass
-class TauSum(TauExpr):
-    terms: list = field(default_factory=list)  # (coefficient, TauExpr)
-
-    def eval(self) -> GammaElement:
-        acc: dict[DPMonomial, int] = {}
-        for c, e in self.terms:
-            poly_add_scaled(acc, e.eval().terms, c)
-        return GammaElement(acc)
-
-
-def reduce_to_single_generators(m: DPMonomial,
-                                _memo: dict | None = None) -> TauExpr:
-    """Rewrite a multi-word monomial as a tau-polynomial in single-word
-    divided powers.
-
+    Each key is a sequence of single-word divided powers, multiplied left
+    to right by tau, and maps to its coefficient; ``()`` is the identity.
     Splitting off the first factor, the tau product with the remainder
     reproduces the monomial plus correction terms of strictly smaller
     weight (those with at least one interior concatenation cell), which
-    are reduced recursively.
+    are reduced recursively.  The dicts are memoized per call tree and
+    shared, so they are read-only.
     """
     if _memo is None:
         _memo = {}
-    cached = _memo.get(m)
-    if cached is not None:
-        return cached
-    if m.is_one():
-        expr: TauExpr = TauOne()
-    elif len(m.factors) == 1:
-        w, e = m.factors[0]
-        expr = TauLeaf(w, e)
+    if m in _memo:
+        return _memo[m]
+    if len(m.factors) <= 1:
+        expr = {(m,) if m.factors else (): 1}
     else:
-        (w1, a1) = m.factors[0]
+        first = DPMonomial.single(*m.factors[0])
         rest = DPMonomial(m.factors[1:])
-        product = tau_monomials(DPMonomial.single(w1, a1), rest).terms
-        expr = TauSum(
-            [(1, TauProduct(TauLeaf(w1, a1),
-                            reduce_to_single_generators(rest, _memo)))]
-            + [(-c, reduce_to_single_generators(mono, _memo))
-               for mono, c in product.items() if mono != m])
+        expr = {(first,) + key: c for key, c in
+                reduce_to_single_generators(rest, _memo).items()}
+        for mono, c in tau_monomials(first, rest).terms.items():
+            if mono != m:
+                poly_add_scaled(expr, reduce_to_single_generators(mono, _memo),
+                                -c)
     _memo[m] = expr
     return expr
+
+
+def tau_evaluate(expr: dict[tuple[DPMonomial, ...], int]) -> GammaElement:
+    """Multiply a rewrite of ``reduce_to_single_generators`` out in the
+    limit ring."""
+    acc: dict[DPMonomial, int] = {}
+    for factors, c in expr.items():
+        product = reduce(tau, map(GammaElement.monomial, factors),
+                         GammaElement.one(None))
+        poly_add_scaled(acc, product.terms, c)
+    return GammaElement(acc)
 
 
 def _scaled_multidegree(f: FreePoly, k: int, alphabet: Alphabet
@@ -312,9 +287,6 @@ def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
     The terms are grouped by their divided-power monomial, so each distinct
     monomial is paired once and scales the image of its word polynomial.
     """
-    from .gamma import chi_formal
-    from .invariants import MatrixPoly
-
     inv = MatrixInvariants.get(alphabet, n)
     by_mono: dict[DPMonomial, dict[Word, int]] = {}
     for (mono, w), c in chi_formal(f, n).terms.items():
@@ -333,27 +305,21 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
     the divided powers f^(k), k > n, of spanning words."""
     basis = enumerate_dp_monomials(d, None)
     index = {m: i for i, m in enumerate(basis)}
-    comm = _commutator_rows(d, None, index)
+    comm = _left_multiples(d, None, _commutators(d, None), index)
     comm_rank = ExactMatrix(comm, len(basis)).rank()
 
     ker_rows = [GammaElement.monomial(m).coeff_vector(index)
                 for m in basis if m.weight > n]
     lhs_rank = ExactMatrix(ker_rows + comm, len(basis)).rank() - comm_rank
 
-    ideal_rows: list[list[int]] = []
-    total = sum(d)
+    powers = []
     for w in enumerate_words(len(alphabet), max_multidegree=d):
         wd = w.multidegree(len(alphabet))
-        for k in range(n + 1, total + 1):
-            scaled = tuple(k * x for x in wd)
-            if any(a > b for a, b in zip(scaled, d)):
-                break
-            gen = GammaElement.monomial(DPMonomial.single(w, k))
-            rest = tuple(b - a for a, b in zip(scaled, d))
-            for a in enumerate_dp_monomials(rest, None):
-                row_el = tau(GammaElement.monomial(a), gen)
-                if not row_el.is_zero():
-                    ideal_rows.append(row_el.coeff_vector(index))
+        top = min(b // a for a, b in zip(wd, d) if a)
+        powers += [(tuple(k * x for x in wd),
+                    [GammaElement.monomial(DPMonomial.single(w, k))])
+                   for k in range(n + 1, top + 1)]
+    ideal_rows = _left_multiples(d, None, powers, index)
     rhs_rank = ExactMatrix(ideal_rows + comm, len(basis)).rank() - comm_rank
     return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, comm_rank,
                        lhs_rank == rhs_rank)
@@ -382,6 +348,7 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
     by_deg = _monomials_by_total_degree(max_total, alphabet)
     elements = {m: GammaElement.monomial(m)
                 for monos in by_deg.values() for m in monos}
+    degree = {m: m.multidegree(nletters) for m in elements}
     ok = True
     one = GammaElement.one(None)
     for du in range(0, max_total + 1):
@@ -392,10 +359,9 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
             for dv in range(0, max_total - du + 1):
                 for v in by_deg[dv]:
                     uv = tau_monomials(u, v)
-                    duv = tuple(a + b for a, b in
-                                zip(u.multidegree(nletters),
-                                    v.multidegree(nletters)))
-                    if any(m.multidegree(nletters) != duv for m in uv.terms):
+                    duv = tuple(a + b for a, b in zip(degree[u], degree[v]))
+                    # a term outside the bound has no degree and fails
+                    if any(degree.get(m) != duv for m in uv.terms):
                         ok = False
                     for dw in range(0, max_total - du - dv + 1):
                         for w in by_deg[dw]:

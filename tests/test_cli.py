@@ -93,6 +93,9 @@ def test_sym_command(capsys):
     (("pi", "[x^(1)|n=2] 3"), "unexpected character '3' (at position 12)\n"
                               "  [x^(1)|n=2] 3\n"
                               "              ^"),
+    # x[x][1][1]^132 is past the packing bound
+    (("pi", f"[{'x' * 132}^(1)|n=1]"),
+     "an exponent reached 128, the packing's bound"),
 ])
 def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -247,6 +250,14 @@ def test_universal_bad_presentation(tmp_path, capsys):
      "bad presentation: generators and relations must be lists of strings"),
     ('{"generators": ["xy"]}', "1", "bad presentation: letters must be "
      "single alphabetic characters, not 'xy'"),
+    ('{"generators": ["x"], "relations": ["x^200"]}', "1",
+     "bad presentation: exponent 200 is not below the packing's bound 128 "
+     "(at position 2)"),
+    ('{"generators": ["x"], "relations": ["x^99999999"]}', "1",
+     "bad presentation: exponent 99999999 is not below the packing's bound "
+     "128 (at position 2)"),
+    ('{"generators": ["x"], "relations": ["x^100*x^100"]}', "2",
+     "an exponent reached 128, the packing's bound"),
 ])
 def test_universal_bad_input_is_a_clear_error(tmp_path, capsys, text, n,
                                               message):

@@ -31,6 +31,9 @@ FREEPOLY_ERRORS = [
     ("x^", "expected an integer", 2),
     ("x^ y", "expected an integer", 3),
     ("x ^ -1", "expected an integer", 4),
+    ("y*x^ 128", "exponent 128 is not below the packing's bound 128", 5),
+    ("x^99999999", "exponent 99999999 is not below the packing's bound 128",
+     2),
 ]
 
 GAMMA_ERRORS = [

@@ -74,8 +74,6 @@ def test_sympoly_roundtrip(s):
     assert format_sympoly(parse_sympoly(text)) == text
 
 
-# a run of four digits after '^' would spell a word of thousands of letters
-HUGE_POWER = re.compile(r"\^\s*[0-9]{4}")
 # range checks of well-formed symmetric functions, plain ValueErrors
 SYM_RANGE = re.compile(r"partition parts must be .*|[em]_.* vanishes in .*")
 
@@ -87,8 +85,7 @@ SYM_RANGE = re.compile(r"partition parts must be .*|[em]_.* vanishes in .*")
 ])
 def test_parsers_return_or_raise_a_parse_error_inside_the_text(parse, chars):
     @settings(max_examples=300, deadline=None)
-    @given(st.text(chars + "²٣", max_size=16).filter(
-        lambda t: not HUGE_POWER.search(t)))
+    @given(st.text(chars + "²٣", max_size=16))
     def check(text):
         try:
             parse(text)

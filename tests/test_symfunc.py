@@ -131,6 +131,12 @@ def test_plethysm_memo_is_bounded_and_hands_out_copies():
         plethysm_e_p(2, 2, 3)
 
 
+def test_plethysm_needs_a_positive_power():
+    # e_i o p_0 is no monomial function: an error, not a value
+    with pytest.raises(ValueError):
+        plethysm_e_p(2, 0, 3)
+
+
 def test_c_alpha_examples():
     assert c_alpha((2,), 2) == -2
     assert c_alpha((1, 1), 2) == 1

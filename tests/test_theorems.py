@@ -1,12 +1,13 @@
 import itertools
 import random
 
+from dpinv import theorems
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import DPMonomial, GammaElement, enumerate_dp_monomials
 from dpinv.invariants import MatrixInvariants
-from dpinv.theorems import (TauLeaf, TauProduct, TauSum, _random_unimodular,
-                            _sub_multidegrees, abelianized_piece, multidegrees,
-                            reduce_to_single_generators,
+from dpinv.theorems import (_random_unimodular, _sub_multidegrees,
+                            abelianized_piece, multidegrees,
+                            reduce_to_single_generators, tau_evaluate,
                             verify_cayley_hamilton, verify_plethysm,
                             verify_plethysm_cell,
                             verify_sigma_homomorphism, verify_tau_axioms,
@@ -180,39 +181,40 @@ def test_thm_222_spec_rank_examples():
 
 
 def test_reduce_single_generator_cases():
+    x1, y1 = DPMonomial.single(X, 1), DPMonomial.single(Y, 1)
+    xy1 = DPMonomial.single(word_from_str("xy", AB), 1)
     x1y1 = DPMonomial(((X, 1), (Y, 1)))
-    expr = reduce_to_single_generators(x1y1)
     # x^(1)y^(1) = x^(1) tau y^(1) - (xy)^(1)
-    assert isinstance(expr, TauSum)
-    assert expr.eval() == GammaElement.monomial(x1y1)
-    leaf = reduce_to_single_generators(DPMonomial.single(X, 2))
-    assert isinstance(leaf, TauLeaf)
-    assert leaf.eval() == GammaElement.monomial(DPMonomial.single(X, 2))
+    assert reduce_to_single_generators(x1y1) == {(x1, y1): 1, (xy1,): -1}
+    x2 = DPMonomial.single(X, 2)
+    assert reduce_to_single_generators(x2) == {(x2,): 1}
+    assert reduce_to_single_generators(DPMonomial.one()) == {(): 1}
+    assert tau_evaluate({(x1, y1): 1, (xy1,): -1}) == \
+        GammaElement.monomial(x1y1)
+
+
+def reduce_roundtrip(alphabet, max_total):
+    memo = {}
+    for d in multidegrees(len(alphabet), max_total):
+        for m in enumerate_dp_monomials(d):
+            expr = reduce_to_single_generators(m, memo)
+            assert all(len(f.factors) == 1 for key in expr for f in key), m
+            assert tau_evaluate(expr) == GammaElement.monomial(m), m
 
 
 def test_reduce_roundtrip_up_to_degree_four():
-    memo = {}
-    for t in range(1, 5):
-        for d in multidegrees(2, t, min_total=t):
-            for m in enumerate_dp_monomials(d):
-                expr = reduce_to_single_generators(m, memo)
-                assert expr.eval() == GammaElement.monomial(m), m
+    reduce_roundtrip(AB, 4)
+
+
+def test_reduce_roundtrip_three_letters_up_to_degree_three():
+    reduce_roundtrip(Alphabet("xyz"), 3)
 
 
 def test_reduce_uses_only_single_word_leaves():
-    def leaves(expr):
-        if isinstance(expr, TauLeaf):
-            yield expr
-        elif isinstance(expr, TauProduct):
-            yield from leaves(expr.left)
-            yield from leaves(expr.right)
-        elif isinstance(expr, TauSum):
-            for _, sub in expr.terms:
-                yield from leaves(sub)
-
     m = DPMonomial(((X, 1), (Y, 2), (word_from_str("xy", AB), 1)))
-    for leaf in leaves(reduce_to_single_generators(m)):
-        assert isinstance(leaf, TauLeaf)
+    expr = reduce_to_single_generators(m)
+    assert all(len(f.factors) == 1 for key in expr for f in key)
+    assert tau_evaluate(expr) == GammaElement.monomial(m)
 
 
 def test_verify_plethysm():
@@ -255,6 +257,16 @@ def test_tau_axioms_small():
     assert all(e.passed for e in entries)
     assert verify_tau_ring_axioms(2, AB).passed
     assert verify_sigma_homomorphism(3, AB, 2).passed
+
+
+def test_tau_axioms_fail_on_an_ungraded_product(monkeypatch):
+    # the stray term lies past the degree bound, where no multidegree is
+    # recorded: the check fails instead of raising
+    stray = GammaElement.monomial(DPMonomial.single(X, 9))
+    product = theorems.tau_monomials
+    monkeypatch.setattr(theorems, "tau_monomials",
+                        lambda u, v: product(u, v) + stray)
+    assert not verify_tau_ring_axioms(2, AB).passed
 
 
 def test_entry_json_schema():
