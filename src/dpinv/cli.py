@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .freering import Alphabet, ParseError, Scanner, parse_freepoly
@@ -115,6 +114,9 @@ def run_verify(cfg: dict) -> dict:
     jobs = _build_jobs(cfg)
     workers = cfg["workers"]
     if workers > 1 and len(jobs) > 1:
+        # imported here, so that runs and commands without a pool do not
+        # pay for importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_run_job, jobs))
     else:

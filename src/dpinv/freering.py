@@ -256,17 +256,25 @@ def multisets(degs: list[tuple[int, ...]], d: tuple[int, ...],
     ``sum e_k * degs[k] == d``; with ``max_count`` also
     ``sum e_k <= max_count``.  Choices come out earlier items first and
     larger exponents first, and only items that still fit the remainder
-    are recursed on.
+    are recursed on: an item whose total degree exceeds the remainder's is
+    skipped, and the loop stops once no later item's total is small enough.
     """
     if not all(any(x) for x in degs):
         raise ValueError("every item needs a nonzero degree")
+    totals = [sum(x) for x in degs]
+    least_after = list(itertools.accumulate(reversed(totals), min))[::-1]
     picked: list[tuple[int, int]] = []
 
     def rec(start: int, rem: tuple[int, ...], left: int | None):
-        if not any(rem):
+        rem_total = sum(rem)
+        if not rem_total:
             yield tuple(picked)
             return
         for k in range(start, len(degs)):
+            if least_after[k] > rem_total:
+                break
+            if totals[k] > rem_total:
+                continue
             dk = degs[k]
             emax = min(r // x for r, x in zip(rem, dk) if x)
             if left is not None:

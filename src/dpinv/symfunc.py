@@ -5,28 +5,21 @@ bases, base change by leading-term elimination, plethysm of e_i by a power
 sum (the monomial function of a rectangular partition), and the
 substitution e_j -> f^(j) into the divided-power ring.
 
-Expanded polynomials are the sparse ``{packed key: int}`` dicts of
-``backend``, so ``backend.poly_mul`` multiplies the e-products and
-``backend.poly_add_scaled`` accumulates them.  The key format is private to
-this module: the exponent of variable j sits in bit field j, and every
-field is ``max(weight, 1).bit_length()`` bits wide, where weight is the
-largest total degree of the polynomial being expanded.  No exponent can
-exceed that weight, and the weight is below ``2**width``, so no field ever
-carries and the width needs no guard.
-
-Comparing packed keys is lex order read from the last variable.  The lead
-of a symmetric polynomial is therefore its dominant partition written in
-increasing order, and the partition is the lead's nonzero exponents,
-reversed.  Keys are unpacked into exponent tuples only there and in
-``SymPoly.to_monomials``.
+The base change works on partitions alone.  The coefficient of m_mu in
+e_lam is the number of 0-1 matrices with row sums lam and column sums mu
+(Macdonald, *Symmetric Functions and Hall Polynomials*, I.6 (6.6)-(6.7)),
+which ``zero_one_count`` counts; it is nonzero only when mu is dominated
+by the conjugate of lam (Gale-Ryser), and 1 when mu is that conjugate.
+Monomials in the variables appear only in ``SymPoly.to_monomials``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
-from .backend import poly_add_scaled, poly_mul
+from .backend import poly_add_scaled
 from .freering import (FreePoly, Scanner, distinct_permutations,
                        format_signed_sum, multisets)
 from .gamma import GammaElement, dp_expand, tau
@@ -59,34 +52,40 @@ def conjugate(alpha: Partition) -> Partition:
                  for j in range(1, alpha[0] + 1))
 
 
-def _width(weight: int) -> int:
-    """Field width of a key whose exponents are at most weight."""
-    return max(weight, 1).bit_length()
+@functools.lru_cache(maxsize=1 << 14)
+def zero_one_count(rows: Partition, cols: Partition) -> int:
+    """Number of 0-1 matrices with row sums rows and column sums cols.
+
+    Neither order matters, so both are partitions.  Transposing swaps
+    them, so the recursion peels a row off the side with fewer parts, and
+    its depth is at most the number of parts of cols, that is, at most the
+    number of variables.  A row of k takes j of the m columns in each run
+    of equal sums, in comb(m, j) ways; the sums left stay weakly
+    decreasing.
+    """
+    if len(rows) > len(cols):
+        return zero_one_count(cols, rows)
+    if not rows:
+        return int(not cols)
+    first, rest = rows[0], rows[1:]
+    runs = [(v, len(list(g))) for v, g in itertools.groupby(cols)]
+    total = 0
+    for picks in itertools.product(*(range(min(m, first) + 1)
+                                     for _, m in runs)):
+        if sum(picks) != first:
+            continue
+        ways, left = 1, []
+        for (v, m), j in zip(runs, picks):
+            ways *= math.comb(m, j)
+            left += [v] * (m - j) + [v - 1] * j
+        total += ways * zero_one_count(rest, tuple(x for x in left if x))
+    return total
 
 
-def _unpack(key: int, nvars: int, width: int) -> tuple[int, ...]:
-    mask = (1 << width) - 1
-    return tuple((key >> (width * j)) & mask for j in range(nvars))
-
-
-def _monomial_orbit(alpha: Partition, nvars: int, width: int) -> dict[int, int]:
-    """m_alpha expanded into packed monomials over nvars variables."""
-    padded = tuple(alpha) + (0,) * (nvars - len(alpha))
-    return {sum(e << (width * j) for j, e in enumerate(exps)): 1
-            for exps in distinct_permutations(padded)}
-
-
-def _e_k_monomials(k: int, nvars: int, width: int) -> dict[int, int]:
-    return {sum(1 << (width * j) for j in comb): 1
-            for comb in itertools.combinations(range(nvars), k)}
-
-
-def _e_product_monomials(lam: Partition, nvars: int,
-                         width: int) -> dict[int, int]:
-    out = {0: 1}
-    for part in lam:
-        out = poly_mul(out, _e_k_monomials(part, nvars, width))
-    return out
+def _e_to_m(lam: Partition, nvars: int) -> dict[Partition, int]:
+    """e_lam in the m-basis over nvars variables."""
+    return {mu: c for mu in partitions(sum(lam), max_parts=nvars)
+            if (c := zero_one_count(lam, mu))}
 
 
 class SymPoly:
@@ -124,44 +123,40 @@ class SymPoly:
     def to_monomials(self) -> dict[tuple, int]:
         """Expansion into exponent-tuple monomials over nvars variables."""
         nvars = self.nvars
-        width = _width(max(map(sum, self.terms), default=0))
-        expand = _monomial_orbit if self.basis == "m" else _e_product_monomials
-        out: dict[int, int] = {}
-        for p, c in self.terms.items():
-            poly_add_scaled(out, expand(p, nvars, width), c)
-        return {_unpack(k, nvars, width): c for k, c in out.items()}
+        mono = self.terms
+        if self.basis == "e":
+            mono = {}
+            for lam, c in self.terms.items():
+                poly_add_scaled(mono, _e_to_m(lam, nvars), c)
+        return {exps: c for mu, c in mono.items()
+                for exps in distinct_permutations(
+                    mu + (0,) * (nvars - len(mu)))}
 
     def __repr__(self) -> str:
         return f"SymPoly({self.basis!r}, {self.terms!r}, nvars={self.nvars})"
 
 
-def _monomials_to_e(mono: dict[int, int], nvars: int,
-                    width: int) -> dict[Partition, int]:
-    """Leading-term elimination: peel off the lex-greatest monomial with the
-    unique e-product sharing it, and recurse.  Every other monomial of that
-    e-product is lex-smaller, so the leads strictly decrease and each
-    partition is peeled at most once."""
-    work = dict(mono)
-    result: dict[Partition, int] = {}
-    while work:
-        lead = max(work)
-        c = work[lead]
-        lam = conjugate(tuple(e for e in reversed(_unpack(lead, nvars, width))
-                              if e))
-        result[lam] = c
-        poly_add_scaled(work, _e_product_monomials(lam, nvars, width), -c)
-    return result
-
-
 def m_to_e(alpha, nvars: int) -> SymPoly:
-    """Expand a monomial symmetric function in the elementary basis."""
+    """Expand a monomial symmetric function in the elementary basis.
+
+    Leading-term elimination: peel off the lex-greatest partition lead with
+    e of its conjugate, whose m-expansion has lead with coefficient 1 and
+    otherwise only partitions it dominates, and repeat.  The leads strictly
+    decrease, so each partition is peeled at most once.
+    """
     alpha = check_partition(alpha)
     if len(alpha) > nvars:
         raise ValueError(
             f"m_{alpha} needs at least {len(alpha)} variables, got {nvars}")
-    width = _width(sum(alpha))
-    return SymPoly("e", _monomials_to_e(_monomial_orbit(alpha, nvars, width),
-                                        nvars, width), nvars)
+    work = {alpha: 1}
+    result: dict[Partition, int] = {}
+    while work:
+        lead = max(work)
+        c = work[lead]
+        lam = conjugate(lead)
+        result[lam] = c
+        poly_add_scaled(work, _e_to_m(lam, nvars), -c)
+    return SymPoly("e", result, nvars)
 
 
 def plethysm_e_p(i: int, n: int, nvars: int) -> SymPoly:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dpinv
 from dpinv.cli import main
 
 
@@ -161,6 +165,16 @@ def test_verify_worker_counts_byte_identical(tmp_path, capsys):
     assert run(capsys, *base, "--workers", "1", "--out", str(a))[0] == 0
     assert run(capsys, *base, "--workers", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a verify run with more than one worker needs multiprocessing
+    code = "import sys, dpinv.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(dpinv.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_report_bytes_are_pinned(tmp_path, capsys):

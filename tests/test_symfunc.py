@@ -7,7 +7,7 @@ from dpinv.freering import Alphabet, FreePoly
 from dpinv.gamma import GammaElement, dp_expand, tau
 from dpinv.symfunc import (SymPoly, c_alpha, conjugate, format_sympoly,
                            m_to_e, parse_sympoly, partitions, plethysm_e_p,
-                           rho_a_substitute)
+                           rho_a_substitute, zero_one_count)
 
 AB = Alphabet("xy")
 FX = FreePoly.letter(0)
@@ -35,11 +35,27 @@ def brute_e_product(lam, nvars):
     return out
 
 
-def test_key_width_holds_the_weight():
-    # every exponent is at most the weight, so the weight must fit a field;
-    # runs first because a carrying field makes elimination loop forever
-    for w in range(1, 301):
-        assert 1 << symfunc._width(w) > w, w
+def dominated(mu, lam):
+    """mu <= lam in dominance order (equal weights)."""
+    return all(sum(mu[:k]) <= sum(lam[:k])
+               for k in range(1, max(len(mu), len(lam)) + 1))
+
+
+def test_zero_one_count_is_the_e_product_coefficient():
+    # the coefficient of x^mu in e_lam over nvars variables, for every pair
+    # of weight <= 6; it is 1 at the conjugate, and nonzero exactly on the
+    # partitions the conjugate dominates (Gale-Ryser)
+    assert zero_one_count.cache_info().maxsize is not None
+    for weight in range(7):
+        for lam in partitions(weight):
+            assert zero_one_count(conjugate(lam), lam) == 1
+            for nvars in range(1, 7):
+                brute = brute_e_product(lam, nvars)
+                for mu in partitions(weight, max_parts=nvars):
+                    padded = mu + (0,) * (nvars - len(mu))
+                    count = zero_one_count(lam, mu)
+                    assert count == brute.get(padded, 0), (lam, mu, nvars)
+                    assert bool(count) == dominated(mu, conjugate(lam))
 
 
 def test_m_to_e_examples():
