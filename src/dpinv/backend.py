@@ -10,9 +10,7 @@ product once, raising ``OverflowError`` when an exponent reaches
 that bound sum to less than 256, so no product carries into the next field
 unnoticed.  ``freering`` rejects letter powers from the same bound on: the
 generic-matrix image of ``x^k`` holds ``x[x][1][1]^k``.  ``poly_mul``
-also multiplies the symmetric-function monomials of ``symfunc``, whose
-fields are sized to the weight being expanded so that they cannot carry.
-It is the one multiply loop over commutative monomials.
+is the one multiply loop over commutative monomials.
 
 ``Terms`` is the element arithmetic over such dicts that every
 combination-of-basis-keys type shares: sums, differences, negation,
@@ -172,9 +170,9 @@ def eliminate(rows, track=False, smith=False):
     over and changes in place.  Returns the pivots in the order taken, as
     ``(col, row, combo)``.  Each pivot row is nonzero at its col and zero at
     the col of every earlier pivot, and their number is the rank; without
-    ``smith``, the pivot rows are a Z-basis of the row lattice.  With ``track``, ``combo`` is
-    ``{input index: int}`` and ``row == sum(combo[i] * rows[i])``;
-    otherwise it is None.
+    ``smith``, the pivot rows are a Z-basis of the row lattice.  With
+    ``track``, ``combo`` is ``{input index: int}`` and ``row ==
+    sum(combo[i] * rows[i])``; otherwise it is None.
 
     While some live row holds a +-1, the loop picks the shortest such row,
     in its unit column with the fewest live rows.  Otherwise it picks an

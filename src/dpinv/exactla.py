@@ -5,11 +5,13 @@ unimodular row elimination, ``backend.eliminate``, whose pivot rows are an
 echelon Z-basis of the row lattice.  Rank counts its pivots.  The Smith
 form is the absolute values of its pivots when it also reduces each
 non-unit pivot row by column operations and takes it only once it
-divides every row left.  Span membership has the loop carry each row's
-combination of the input rows and reduces the target against the
-pivots, so its certificate is all ints exactly when the target lies in
-the rows' Z-lattice; a Fraction appears only when the target needs a
-denominator.
+divides every row left.  ``reduce_row`` is the one reduction of a row
+against those pivots: it divides exactly, and reaches zero, exactly when
+the row lies in their Z-lattice.  Span membership reads its certificate
+off that reduction and the pivots' combinations of the input rows, so it
+is all ints exactly when the target lies in the rows' Z-lattice; a
+Fraction appears only when the target needs a denominator.  The 2.2.2
+cell hands its sparse rows to ``eliminate`` and ``reduce_row`` directly.
 """
 
 from __future__ import annotations
@@ -54,18 +56,46 @@ class ExactMatrix:
         return bareiss_rank(self.rows)
 
     def smith_normal_form(self) -> list[int]:
-        """Nonzero elementary divisors d_1 | d_2 | ..., all positive."""
-        return smith_divisors(self.rows)
+        """Nonzero elementary divisors d_1 | d_2 | ..., all positive: the
+        pivots of ``eliminate`` with ``smith``."""
+        return [abs(row[c]) for c, row, _ in
+                eliminate(map(sparse_row, self.rows), smith=True)]
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def smith_divisors(rows: list[list[int]]) -> list[int]:
-    """Elementary divisors of an integer matrix: the pivots of
-    ``eliminate`` with ``smith``."""
-    return [abs(row[c]) for c, row, _ in eliminate(map(sparse_row, rows),
-                                                     smith=True)]
+def reduce_row(pivots, t) -> tuple[int, dict, dict]:
+    """Reduce the ``{col: int}`` row t (not changed) against the pivots of
+    ``eliminate`` in their order, which clears t at every pivot col.
+
+    Returns ``(scale, coords, rest)`` with ``scale * t == sum(coords[j] *
+    pivots[j][1]) + rest``.  Where the pivot p divides t's entry a, the
+    step is ``t -= (a // p) * row``; otherwise t first takes the scale
+    ``p / gcd(p, a)``.  So t lies in the pivots' Q-span iff ``not rest``,
+    and in their Z-lattice iff also ``scale == 1``.
+    """
+    t = dict(t)
+    coords = {}
+    scale = 1
+    for j, (c, top, _) in enumerate(pivots):
+        a = t.get(c)
+        if a is None:
+            continue
+        p = top[c]
+        if a % p:
+            g = gcd(p, a)
+            s, a = p // g, a // g
+            scale *= s
+            for k in t:
+                t[k] *= s
+            for k in coords:
+                coords[k] *= s
+        else:
+            a //= p
+        poly_add_scaled(t, top, -a)
+        coords[j] = a
+    return scale, coords, t
 
 
 def in_span(rows, target) -> tuple[bool, list | None]:
@@ -80,47 +110,24 @@ def in_span(rows, target) -> tuple[bool, list | None]:
     only over Q shows its denominator.
 
     Sparse integer elimination that carries row combinations (LaMacchia and
-    Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``.  Its pivot
-    rows are an echelon Z-basis of the rows' lattice, each zero at every
-    earlier pivot column, so one pass over the pivots in order clears the
-    target there.  Where the pivot p divides the target's entry a, the
-    step is ``t -= (a // p) * row``; the target is in the Z-lattice exactly
-    when every step is of this kind and ``t`` reduces to zero.  Otherwise,
-    for membership over Q, the target takes the scale ``s = p / gcd(p,
-    a)``: ``t = s*t - (a / gcd(p, a))*row``.  So ``t == d * target +
-    sum(combo[i] * rows[i])``, and the target is a member when ``t``
-    reduces to zero, with certificate ``-combo / d``.
+    Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``, then
+    ``reduce_row``; the certificate is ``sum(coords[j] * combo_j) /
+    scale``.
     """
     rows = list(rows)
     if len({len(r) for r in (*rows, target)
             if not isinstance(r, Mapping)}) > 1:
         raise ValueError("dimension mismatch")
-    t = sparse_row(target)
     pivots = eliminate(map(sparse_row, rows), track=True)
-    combo = {}
-    d = 1
-    for c, top, top_combo in pivots:
-        a = t.get(c)
-        if a is None:
-            continue
-        p = top[c]
-        if a % p:
-            g = gcd(p, a)
-            s, a = p // g, a // g
-            d *= s
-            for k in t:
-                t[k] *= s
-            for k in combo:
-                combo[k] *= s
-        else:
-            a //= p
-        poly_add_scaled(t, top, -a)
-        poly_add_scaled(combo, top_combo, -a)
-    if t:
+    scale, coords, rest = reduce_row(pivots, sparse_row(target))
+    if rest:
         return False, None
-    coeffs = [-combo.get(i, 0) for i in range(len(rows))]
-    if d == 1:
+    combo = {}
+    for j, a in coords.items():
+        poly_add_scaled(combo, pivots[j][2], a)
+    coeffs = [combo.get(i, 0) for i in range(len(rows))]
+    if scale == 1:
         return True, coeffs
     from fractions import Fraction
 
-    return True, [Fraction(c, d) for c in coeffs]
+    return True, [Fraction(c, scale) for c in coeffs]

@@ -1,8 +1,9 @@
 """Property tests: the pivots of the sparse elimination, exact rank against
 Fraction elimination, the Smith form against sympy and span membership
 against dense Fraction elimination and, for integral certificates, against
-sympy's Smith form, on random small integer matrices with and without unit
-entries, with repeated and zero rows."""
+sympy's Smith form, as is the reduction of a row against the pivots, on
+random small integer matrices with and without unit entries, with repeated
+and zero rows."""
 
 from fractions import Fraction
 from math import prod
@@ -18,7 +19,7 @@ from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 from dpinv.backend import (bareiss_rank, eliminate,  # noqa: E402
                            poly_add_scaled, sparse_row)
-from dpinv.exactla import ExactMatrix, in_span  # noqa: E402
+from dpinv.exactla import ExactMatrix, in_span, reduce_row  # noqa: E402
 from test_exactla import fraction_gauss_rank, fraction_in_span  # noqa: E402
 
 # entries without +-1 make every pivot a non-unit, found by repeated
@@ -126,3 +127,24 @@ def test_in_span_certificate_is_integral_exactly_on_the_lattice(problem):
     before, after = sympy_divisors(rows), sympy_divisors(rows + [target])
     on_lattice = len(before) == len(after) and prod(before) == prod(after)
     assert (ok and all(type(c) is int for c in cert)) == on_lattice
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_problems(), st.booleans())
+def test_reduce_row_stays_on_the_lattice_exactly_for_members(problem, track):
+    # scale * t == sum(coords[j] * pivot_j) + rest, rest is zero at every
+    # pivot column, and t reduces with scale 1 to zero iff adding it to the
+    # rows keeps their rank and the product of their elementary divisors
+    rows, target = problem
+    pivots = eliminate(map(sparse_row, rows), track=track)
+    t = sparse_row(target)
+    scale, coords, rest = reduce_row(pivots, t)
+    assert t == sparse_row(target)
+    rebuilt = dict(rest)
+    for j, a in coords.items():
+        poly_add_scaled(rebuilt, pivots[j][1], a)
+    assert rebuilt == {k: scale * v for k, v in t.items()}
+    assert not any(c in rest for c, _, _ in pivots)
+    before, after = sympy_divisors(rows), sympy_divisors(rows + [target])
+    on_lattice = len(before) == len(after) and prod(before) == prod(after)
+    assert (scale == 1 and not rest) == on_lattice

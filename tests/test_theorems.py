@@ -1,5 +1,8 @@
 import itertools
 import random
+from math import prod
+
+import pytest
 
 from dpinv import theorems
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
@@ -132,6 +135,73 @@ def test_thm_222_strict_z():
     e = verify_thm_2_2_2_cell(2, (1, 1), AB, strict_z=True)
     assert e.passed
     assert e.torsion is not None and all(t == 1 for t in e.torsion)
+
+
+def sympy_divisors(rows):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if not rows:
+        return []
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    return [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+
+
+def dense_cell_oracle(n, d, alphabet, strict_z):
+    """The 2.2.2 cell on dense rows over the sorted union of the monomials
+    of the pi images and the span: Fraction ranks and, under strict_z,
+    sympy's Smith forms, where the pi lattice holds the span exactly when
+    stacking the span on pi keeps the rank and the product of divisors.
+    Returns (rhs_rank, kernel_rank, passed)."""
+    inv = MatrixInvariants.get(alphabet, n)
+    basis, rel = abelianized_piece(n, d)
+    rel_rank = fraction_gauss_rank(rel.rows)
+    span = inv.invariant_span(d)
+    pi_polys = [inv.pi_monomial(m) for m in basis]
+    keys = sorted({k for p in pi_polys + span for k in p.terms})
+    cols = {k: i for i, k in enumerate(keys)}
+    span_rows = [p.coeff_vector(cols) for p in span]
+    pi_rows = [p.coeff_vector(cols) for p in pi_polys]
+    rhs_rank = fraction_gauss_rank(span_rows)
+    kernel_rank = len(basis) - fraction_gauss_rank(pi_rows)
+    passed = len(basis) - rel_rank == rhs_rank and kernel_rank == rel_rank
+    if strict_z:
+        pi_divisors = sympy_divisors(pi_rows)
+        both = sympy_divisors(pi_rows + span_rows)
+        passed = (passed and all(t == 1 for t in sympy_divisors(rel.rows))
+                  and len(both) == len(pi_divisors)
+                  and prod(both) == prod(pi_divisors))
+    return rhs_rank, kernel_rank, passed
+
+
+CELLS = ([(n, d, AB) for n in (1, 2, 3) for d in multidegrees(2, 4)]
+         + [(2, d, Alphabet("xyz")) for d in multidegrees(3, 3)])
+
+
+@pytest.mark.parametrize("strict_z", [False, True])
+def test_sparse_cell_matches_the_dense_oracle(strict_z):
+    pytest.importorskip("sympy")
+    for n, d, alphabet in CELLS:
+        e = verify_thm_2_2_2_cell(n, d, alphabet, strict_z)
+        assert (e.rhs_rank, e.kernel_rank, e.passed) == \
+            dense_cell_oracle(n, d, alphabet, strict_z), (n, d, alphabet)
+
+
+def test_strict_z_fails_a_pi_image_off_the_span_lattice(monkeypatch):
+    # doubling the image of x^(1) keeps every rank, and 2 tr X spans the
+    # slice over Q but not over Z: only the lattice check can catch it
+    pytest.importorskip("sympy")
+    genuine = MatrixInvariants.pi_monomial
+    monkeypatch.setattr(
+        MatrixInvariants, "pi_monomial",
+        lambda self, m: genuine(self, m) * 2 if m == DPMonomial.single(X)
+        else genuine(self, m))
+    for strict_z in (False, True):
+        e = verify_thm_2_2_2_cell(2, (1, 0), AB, strict_z)
+        assert (e.lhs_rank, e.rhs_rank, e.kernel_rank) == (1, 1, 0)
+        assert e.passed == (not strict_z)
+        assert (e.rhs_rank, e.kernel_rank, e.passed) == \
+            dense_cell_oracle(2, (1, 0), AB, strict_z)
 
 
 def test_spot_check_evaluates_pi_images(monkeypatch):
