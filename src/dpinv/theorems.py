@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .backend import eliminate, poly_add_scaled
 from .exactla import ExactMatrix, reduce_row
@@ -68,57 +68,78 @@ def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _left_multiples(d: tuple[int, ...], level: int | None, gens,
-                    index: dict[DPMonomial, int]) -> list[list[int]]:
-    """Coefficient rows of every nonzero left tau-multiple a g in
-    multidegree d.  ``gens`` yields groups (e, [g, ...]) of generators of
-    multidegree e <= d; a runs over the basis monomials of multidegree
+                    index: dict[DPMonomial, int]) -> list[dict[int, int]]:
+    """Sparse ``{basis index: int}`` rows of every nonzero left tau-multiple
+    a g in multidegree d.  ``gens`` yields groups (e, [g, ...]) of elements
+    of multidegree e <= d; a runs over the basis monomials of multidegree
     d - e, enumerated once per group."""
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for e, group in gens:
         rest = tuple(x - y for x, y in zip(d, e))
         multipliers = [GammaElement.monomial(a, level)
                        for a in enumerate_dp_monomials(rest, level)]
         for g in group:
             for a in multipliers:
-                row_el = tau(a, g)
-                if not row_el.is_zero():
-                    rows.append(row_el.coeff_vector(index))
+                terms = tau(a, g).terms
+                if terms:
+                    rows.append({index[m]: c for m, c in terms.items()})
     return rows
 
 
-def _commutators(d: tuple[int, ...], level: int | None):
-    """Groups (e, the nonzero u v - v u of multidegree e, each unordered
-    pair of basis monomials once) for every e <= d with |e| >= 2, by
-    decreasing (|e|, e); a group is computed as it is read.  Right multiples
-    are redundant for the ideal: [u,v] b = b [u,v] + [[u,v], b]."""
-    def group(e):
-        for du in _sub_multidegrees(e):
-            dv = tuple(x - y for x, y in zip(e, du))
-            if sum(du) == 0 or sum(dv) == 0 or du > dv:
+@lru_cache(maxsize=256)
+def _commutator_basis(e: tuple[int, ...], level: int | None
+                      ) -> tuple[GammaElement, ...]:
+    """An echelon Z-basis, by ``eliminate``, of the commutators [g, v] of
+    multidegree e, where g is a single-word divided power w^(k), v is any
+    basis monomial, and a pair of two such generators is taken once.
+    Cached: callers must treat the elements as read-only."""
+    comms = []
+    for du in _sub_multidegrees(e):
+        dv = tuple(x - y for x, y in zip(e, du))
+        if sum(du) == 0 or sum(dv) == 0:
+            continue
+        vs = enumerate_dp_monomials(dv, level)
+        for g in enumerate_dp_monomials(du, level):
+            if len(g.factors) != 1:
                 continue
-            us = enumerate_dp_monomials(du, level)
-            vs = us if du == dv else enumerate_dp_monomials(dv, level)
-            for iu, u in enumerate(us):
-                gu = GammaElement.monomial(u, level)
-                for v in vs[iu + 1 if du == dv else 0:]:
-                    gv = GammaElement.monomial(v, level)
-                    comm = tau(gu, gv) - tau(gv, gu)
-                    if not comm.is_zero():
-                        yield comm
-
-    for e in reversed(_sub_multidegrees(d)):
-        if sum(e) >= 2:
-            yield e, group(e)
+            gg = GammaElement.monomial(g, level)
+            key = g.sort_key()
+            for v in vs:
+                if len(v.factors) == 1 and v.sort_key() <= key:
+                    continue    # the pair (v, g) is, or will be, taken
+                gv = GammaElement.monomial(v, level)
+                comms.append((tau(gg, gv) - tau(gv, gg)).terms)
+    return tuple(GammaElement(row, level) for _, row, _ in eliminate(comms))
 
 
-def abelianized_piece(n: int, d: tuple[int, ...]
+def _commutators(d: tuple[int, ...], level: int | None):
+    """Groups (e, ``_commutator_basis(e, level)``) for every e <= d with
+    |e| >= 2, by decreasing (|e|, e).
+
+    Their left multiples span, over Z, the same lattice as the left
+    multiples of every commutator [u, v] of basis monomials, which is the
+    commutator ideal in multidegree d.  Every monomial is an integer
+    tau-polynomial in the generators w^(k) (``reduce_to_single_generators``),
+    and [u1 u2, v] = u1 [u2, v] + [u1, v] u2 reduces [u, v] to left and right
+    multiples of the [g, v].  A right multiple is a left one:
+    [g, v] b = [g, v b] - v [g, b], where v b is an integer combination of
+    monomials.
+    """
+    return [(e, _commutator_basis(e, level))
+            for e in reversed(_sub_multidegrees(d)) if sum(e) >= 2]
+
+
+def abelianized_piece(n: int | None, d: tuple[int, ...]
                       ) -> tuple[list[DPMonomial], ExactMatrix]:
-    """Standard basis of the level-n slice at multidegree d together with
-    the commutator-relation matrix whose cokernel is the abelianized slice."""
+    """Standard basis of the level-n slice at multidegree d (of the limit
+    ring for n None) together with an echelon Z-basis of its commutator
+    relations, whose cokernel is the abelianized slice: the dense pivot
+    rows of one ``eliminate`` of the sparse left multiples."""
     basis = enumerate_dp_monomials(d, n)
     index = {m: i for i, m in enumerate(basis)}
-    rows = _left_multiples(d, n, _commutators(d, n), index)
-    return basis, ExactMatrix(rows, len(basis))
+    pivots = eliminate(_left_multiples(d, n, _commutators(d, n), index))
+    return basis, ExactMatrix([[row.get(i, 0) for i in range(len(basis))]
+                               for _, row, _ in pivots], len(basis))
 
 
 def _random_unimodular(rng: random.Random, n: int
@@ -297,12 +318,15 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
     the divided powers f^(k), k > n, of spanning words."""
     basis = enumerate_dp_monomials(d, None)
     index = {m: i for i, m in enumerate(basis)}
-    comm = _left_multiples(d, None, _commutators(d, None), index)
-    comm_rank = ExactMatrix(comm, len(basis)).rank()
+    comm = [row for _, row, _ in
+            eliminate(_left_multiples(d, None, _commutators(d, None), index))]
 
-    ker_rows = [GammaElement.monomial(m).coeff_vector(index)
-                for m in basis if m.weight > n]
-    lhs_rank = ExactMatrix(ker_rows + comm, len(basis)).rank() - comm_rank
+    def rank_beyond_comm(rows) -> int:
+        # eliminate takes over its rows, so it gets copies of the pivots
+        return len(eliminate([*rows, *map(dict, comm)])) - len(comm)
+
+    lhs_rank = rank_beyond_comm({i: 1} for i, m in enumerate(basis)
+                                if m.weight > n)
 
     powers = []
     for w in enumerate_words(len(alphabet), max_multidegree=d):
@@ -311,9 +335,8 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
         powers += [(tuple(k * x for x in wd),
                     [GammaElement.monomial(DPMonomial.single(w, k))])
                    for k in range(n + 1, top + 1)]
-    ideal_rows = _left_multiples(d, None, powers, index)
-    rhs_rank = ExactMatrix(ideal_rows + comm, len(basis)).rank() - comm_rank
-    return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, comm_rank,
+    rhs_rank = rank_beyond_comm(_left_multiples(d, None, powers, index))
+    return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, len(comm),
                        lhs_rank == rhs_rank)
 
 

@@ -5,8 +5,10 @@ from math import prod
 import pytest
 
 from dpinv import theorems
+from dpinv.exactla import ExactMatrix
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
-from dpinv.gamma import DPMonomial, GammaElement, enumerate_dp_monomials
+from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
+                         tau)
 from dpinv.invariants import MatrixInvariants
 from dpinv.theorems import (_random_unimodular, _sub_multidegrees,
                             abelianized_piece, multidegrees,
@@ -129,6 +131,51 @@ def test_sparse_rank_matches_dense_on_relation_matrices():
             rank = rel.rank()
             assert rank == fraction_gauss_rank(rel.rows), (n, d)
             assert len(rel.smith_normal_form()) == rank, (n, d)
+
+
+def all_pairs_relation_rows(level, d):
+    """The relation rows of every unordered pair of basis monomials u, v:
+    each nonzero left multiple a [u, v] of multidegree d, dense over the
+    basis by coeff_vector."""
+    basis = enumerate_dp_monomials(d, level)
+    cols = {m: i for i, m in enumerate(basis)}
+    nletters = len(d)
+    rows = []
+    for e in _sub_multidegrees(d):
+        monos = [m for du in _sub_multidegrees(e) if 0 < sum(du) < sum(e)
+                 for m in enumerate_dp_monomials(du, level)]
+        comms = []
+        for u, v in itertools.combinations(monos, 2):
+            du, dv = u.multidegree(nletters), v.multidegree(nletters)
+            if tuple(a + b for a, b in zip(du, dv)) == e:
+                gu = GammaElement.monomial(u, level)
+                gv = GammaElement.monomial(v, level)
+                comms.append(tau(gu, gv) - tau(gv, gu))
+        rest = tuple(x - y for x, y in zip(d, e))
+        for a in enumerate_dp_monomials(rest, level):
+            ga = GammaElement.monomial(a, level)
+            for c in comms:
+                row = tau(ga, c)
+                if not row.is_zero():
+                    rows.append(row.coeff_vector(cols))
+    return rows
+
+
+RELATION_CELLS = ([(n, d) for n in (1, 2, 3) for d in multidegrees(2, 6)]
+                  + [(n, d) for n in (1, 2) for d in multidegrees(3, 4)]
+                  + [(None, d) for d in multidegrees(1, 6)
+                     + multidegrees(2, 5)])
+
+
+def test_relation_basis_matches_the_all_pairs_oracle():
+    # the generator commutators span the same Z-lattice as all commutator
+    # pairs: equal ranks alone would miss a sublattice of finite index
+    for level, d in RELATION_CELLS:
+        basis, rel = abelianized_piece(level, d)
+        oracle = ExactMatrix(all_pairs_relation_rows(level, d), len(basis))
+        assert rel.nrows == rel.rank() == oracle.rank(), (level, d)
+        assert rel.smith_normal_form() == oracle.smith_normal_form(), \
+            (level, d)
 
 
 def test_thm_222_strict_z():
