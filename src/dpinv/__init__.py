@@ -12,11 +12,10 @@ from .exactla import ExactMatrix, in_span
 from .freering import (Alphabet, FreePoly, ParseError, Word,
                        cyclic_normal_form, enumerate_necklaces,
                        enumerate_words, parse_freepoly, primitive_decompose,
-                       word_from_str, words_of_multidegree)
-from .gamma import (ContextError, DPMonomial, GammaElement, NormedTensor,
-                    chi_formal, dp_expand, dp_mul, dp_product,
-                    enumerate_dp_monomials, format_gamma, parse_gamma, rho_n,
-                    sigma_n, tau, tau_n)
+                       word_from_str)
+from .gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
+                    dp_expand, dp_mul, dp_product, enumerate_dp_monomials,
+                    format_gamma, parse_gamma, rho_n, sigma_n, tau)
 from .invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
                          charpoly_coeffs, det_cofactor)
 from .symfunc import (Partition, SymPoly, c_alpha, m_to_e, partitions,
@@ -27,6 +26,6 @@ from .theorems import (VerifyEntry, abelianized_piece,
                        verify_tau_axioms, verify_thm_2_2_2,
                        verify_zubkov_kernel)
 from .universal import (Presentation, build_An, ideal_membership,
-                        ideal_piece, jnr_image, load_presentation)
+                        ideal_piece, load_presentation)
 
 __version__ = "0.1.0"

@@ -177,6 +177,10 @@ def cmd_verify(args) -> int:
         if t not in THEOREMS:
             raise ValueError(f"unknown theorem {t!r}; choose from "
                              f"{', '.join(THEOREMS)}")
+    for flag, value in (("--maxdeg", args.maxdeg),
+                        ("--workers", args.workers)):
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, not {value}")
     cfg = {
         "letters": "".join(Alphabet.default(args.letters).names),
         "n": n_list,

@@ -47,10 +47,6 @@ class ExactMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def rank(self) -> int:
         """Rank over Q."""
         return bareiss_rank(self.rows)

@@ -95,10 +95,6 @@ class Word(tuple):
     def __add__(self, other) -> "Word":  # concatenation
         return Word(tuple.__add__(self, other))
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def multidegree(self, nletters: int) -> tuple[int, ...]:
         d = [0] * nletters
         for a in self:
@@ -167,51 +163,32 @@ def primitive_decompose(w: Word) -> tuple[Word, int]:
     return Word(w), 1
 
 
-def _bounded(d: tuple[int, ...], bound: tuple[int, ...] | None) -> bool:
-    return bound is None or all(a <= b for a, b in zip(d, bound))
-
-
-def enumerate_words(
-    nletters: int,
-    max_total: int | None = None,
-    max_multidegree: tuple[int, ...] | None = None,
-) -> list[Word]:
+def enumerate_words(nletters: int,
+                    max_multidegree: tuple[int, ...]) -> list[Word]:
     """All nonempty words within the bound, in graded lex order.
 
     ``max_multidegree`` bounds each letter's count, so it has one entry per
     letter.
     """
-    if max_multidegree is not None and len(max_multidegree) != nletters:
+    if len(max_multidegree) != nletters:
         raise ValueError(f"max_multidegree {tuple(max_multidegree)} needs "
                          f"one entry per letter, {nletters} in all")
-    if max_total is None:
-        if max_multidegree is None:
-            raise ValueError("a degree bound is required")
-        max_total = sum(max_multidegree)
     out = []
-    for length in range(1, max_total + 1):
+    for length in range(1, sum(max_multidegree) + 1):
         for letters in itertools.product(range(nletters), repeat=length):
             w = Word(letters)
-            if _bounded(w.multidegree(nletters), max_multidegree):
+            if all(a <= b for a, b in zip(w.multidegree(nletters),
+                                          max_multidegree)):
                 out.append(w)
     return out
 
 
-def enumerate_necklaces(
-    nletters: int,
-    max_total: int | None = None,
-    max_multidegree: tuple[int, ...] | None = None,
-) -> list[Word]:
+def enumerate_necklaces(nletters: int,
+                        max_multidegree: tuple[int, ...]) -> list[Word]:
     """The least rotation of each cyclic class within the bound (its
     ``cyclic_normal_form``), in graded lex order."""
-    return [w for w in enumerate_words(nletters, max_total, max_multidegree)
+    return [w for w in enumerate_words(nletters, max_multidegree)
             if cyclic_normal_form(w) == w]
-
-
-def words_of_multidegree(d: tuple[int, ...]) -> list[Word]:
-    """All words of multidegree exactly d, in lex order."""
-    letters = [a for a, k in enumerate(d) for _ in range(k)]
-    return [Word(p) for p in distinct_permutations(letters)]
 
 
 def distinct_permutations(seq) -> Iterator[tuple]:
@@ -331,9 +308,6 @@ class FreePoly(Terms):
     @property
     def constant_term(self) -> int:
         return self.terms.get(Word(), 0)
-
-    def in_augmentation_ideal(self) -> bool:
-        return self.constant_term == 0
 
     def words(self) -> list[Word]:
         return sorted(self.terms, key=Word.graded_key)

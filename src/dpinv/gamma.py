@@ -118,9 +118,6 @@ class DPMonomial:
                 d[a] += e
         return tuple(d)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     def sort_key(self) -> tuple:
         return tuple((len(w), tuple(w), e) for w, e in self.factors)
 
@@ -149,11 +146,22 @@ def merge_factors(pairs: Iterable[tuple[Word, int]]) -> tuple[int, DPMonomial]:
     return coeff, DPMonomial(exps.items())
 
 
-class _LevelTerms(Terms):
-    """Terms in a divided-power context: ``level=None`` for the limit ring,
-    ``level=n`` for the degree-n truncation."""
+class GammaElement(Terms):
+    """Integer combination of standard-basis monomials in a fixed context:
+    ``level=None`` for the limit ring, ``level=n`` for the degree-n
+    truncation."""
 
     __slots__ = ("level",)
+
+    def __init__(self, terms: dict[DPMonomial, int] | None = None,
+                 level: int | None = None):
+        clean: dict[DPMonomial, int] = {}
+        if terms:
+            for m, c in terms.items():
+                if c and (level is None or m.weight <= level):
+                    clean[m] = c
+        self.terms = clean
+        self.level = level
 
     @classmethod
     def _trusted(cls, terms, level):
@@ -176,22 +184,6 @@ class _LevelTerms(Terms):
         super()._coerce(other)
         raise ContextError(
             f"context mismatch: {self.level!r} vs {other.level!r}")
-
-
-class GammaElement(_LevelTerms):
-    """Integer combination of standard-basis monomials in a fixed context."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: dict[DPMonomial, int] | None = None,
-                 level: int | None = None):
-        clean: dict[DPMonomial, int] = {}
-        if terms:
-            for m, c in terms.items():
-                if c and (level is None or m.weight <= level):
-                    clean[m] = c
-        self.terms = clean
-        self.level = level
 
     @classmethod
     def zero(cls, level: int | None = None) -> "GammaElement":
@@ -348,13 +340,6 @@ def tau(g: GammaElement, h: GammaElement) -> GammaElement:
     return g._like(acc or {})
 
 
-def tau_n(g: GammaElement, h: GammaElement, n: int) -> GammaElement:
-    """tau at truncation level n; operands must already live there."""
-    if g.level != n or h.level != n:
-        raise ContextError(f"operands are not in level {n}")
-    return tau(g, h)
-
-
 def sigma_n(g: GammaElement, n: int) -> GammaElement:
     """Project the limit ring onto level n (drop weights above n)."""
     if g.level is not None:
@@ -397,49 +382,26 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
     return GammaElement(terms, None)
 
 
-class NormedTensor(_LevelTerms):
-    """Element of (level-n divided powers, abelianized) tensor the free ring.
+def chi_formal(f: FreePoly, n: int) -> dict[DPMonomial, FreePoly]:
+    """The degree-n Cayley-Hamilton element of f, grouped by its
+    divided-power factor.
 
-    Terms map (DPMonomial, Word) -> int; the left factor is a standard-basis
-    representative of the abelianized truncation, the right factor a word
-    (the empty word carrying the scalar slot).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: dict[tuple[DPMonomial, Word], int] | None,
-                 level: int):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-        self.level = level
-
-    def sorted_terms(self) -> list[tuple[tuple[DPMonomial, Word], int]]:
-        return sorted(self.terms.items(),
-                      key=lambda t: (t[0][0].sort_key(), t[0][1].graded_key()))
-
-    def __repr__(self) -> str:
-        return f"NormedTensor({self.terms!r}, level={self.level})"
-
-
-def chi_formal(f: FreePoly, n: int) -> NormedTensor:
-    """The degree-n Cayley-Hamilton element of f.
-
-    chi_n(f) = f^n + sum_{i=1..n} (-1)^i f^(i) (x) f^(n-i), with the i = n
-    term carried on the scalar (empty-word) slot.
+    chi_n(f) = f^n + sum_{i=1..n} (-1)^i f^(i) (x) f^(n-i) lies in (level-n
+    divided powers) (x) (the free ring).  The result maps each level-n
+    basis monomial to its word polynomial: the identity monomial to f^n,
+    and each monomial of f^(i), of weight i, to its coefficient times
+    (-1)^i f^(n-i), a constant when i = n.
     """
     if f.constant_term != 0:
         raise ValueError("chi_formal requires a zero constant term")
     if f.is_zero():
         raise ValueError("chi_formal requires a nonzero argument")
-    one = DPMonomial.one()
-    acc = {(one, w): c for w, c in (f ** n).terms.items()}
+    out = {DPMonomial.one(): f ** n}
     for i in range(1, n + 1):
-        gi = sigma_n(dp_expand(f, i), n)
-        rest = f ** (n - i)
-        sign = -1 if i % 2 else 1
-        for mono, cg in gi.terms.items():
-            poly_add_scaled(acc, {(mono, w): cw for w, cw in rest.terms.items()},
-                            sign * cg)
-    return NormedTensor(acc, n)
+        rest = f ** (n - i) * (-1) ** i
+        for mono, c in dp_expand(f, i).terms.items():
+            out[mono] = rest * c
+    return out
 
 
 def enumerate_dp_monomials(d: tuple[int, ...],

@@ -41,8 +41,7 @@ from operator import add, mul, or_
 from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
                        cyclic_normal_form, enumerate_necklaces,
-                       enumerate_words, format_signed_sum, multisets,
-                       primitive_decompose)
+                       format_signed_sum, multisets, primitive_decompose)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
@@ -463,7 +462,10 @@ class MatrixInvariants:
 
     def invariant_span(self, d: tuple[int, ...]) -> list[CommPoly]:
         """Spanning set of the multidegree-d slice of the invariant ring:
-        all products of e_i over necklace representatives."""
+        the product of e_i over necklace representatives for every choice
+        of factors.  Distinct choices can give equal products (e_1(x)
+        e_1(y) == e_1(xy) at n=1), and the list keeps each one; ranking it
+        with ``backend.eliminate`` drops the copies."""
         nletters = len(self.alphabet)
         if len(d) != nletters:
             raise ValueError("multidegree length must match the alphabet")
@@ -471,34 +473,6 @@ class MatrixInvariants:
                  for w in enumerate_necklaces(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
-        out: list[CommPoly] = []
-        seen: set[frozenset] = set()
-        # distinct choices can give equal products: e_1(x) e_1(y) == e_1(xy)
-        # at n=1
-        for picks in multisets(degs, d):
-            p = self._product(d, tuple(sorted(
-                cands[k] for k, e in picks for _ in range(e))))
-            key = frozenset(p.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return out
-
-    def covariant_span(self, d: tuple[int, ...]) -> list[MatrixPoly]:
-        """Spanning set of the multidegree-d covariants: invariant products
-        times word monomials in the generic matrices."""
-        nletters = len(self.alphabet)
-        words: list[Word] = [Word()]
-        if any(d):
-            words += enumerate_words(nletters, max_multidegree=d)
-        out: list[MatrixPoly] = []
-        for u in words:
-            rem = tuple(b - a for a, b in
-                        zip(u.multidegree(nletters), d))
-            if any(x < 0 for x in rem):
-                continue
-            mat = self.word_matrix(u)
-            for inv in self.invariant_span(rem):
-                out.append(mat * inv)
-        return out
-
+        return [self._product(d, tuple(sorted(
+                    cands[k] for k, e in picks for _ in range(e))))
+                for picks in multisets(degs, d)]

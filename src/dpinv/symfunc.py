@@ -36,12 +36,10 @@ def check_partition(alpha) -> Partition:
     return alpha
 
 
-def partitions(weight: int, max_parts: int | None = None,
-               max_part: int | None = None) -> list[Partition]:
+def partitions(weight: int, max_parts: int | None = None) -> list[Partition]:
     """Partitions of the given weight, largest-first order."""
-    top = weight if max_part is None else min(weight, max_part)
-    return [sum(((top - k,) * e for k, e in picks), ())
-            for picks in multisets([(p,) for p in range(top, 0, -1)],
+    return [sum(((weight - k,) * e for k, e in picks), ())
+            for picks in multisets([(p,) for p in range(weight, 0, -1)],
                                    (weight,), max_parts)]
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 
 from .backend import eliminate, poly_add_scaled
 from .exactla import ExactMatrix, reduce_row
-from .freering import Alphabet, FreePoly, Word, compositions, enumerate_words
+from .freering import Alphabet, FreePoly, compositions, enumerate_words
 from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
@@ -297,16 +297,14 @@ def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
     """chi_n(f) evaluates to the zero matrix under the invariant pairing
     tensored with the generic-matrix evaluation.
 
-    The terms are grouped by their divided-power monomial, so each distinct
-    monomial is paired once and scales the image of its word polynomial.
+    ``chi_formal`` groups the terms by their divided-power monomial, so
+    each distinct monomial is paired once and scales the image of its word
+    polynomial.
     """
     inv = MatrixInvariants.get(alphabet, n)
-    by_mono: dict[DPMonomial, dict[Word, int]] = {}
-    for (mono, w), c in chi_formal(f, n).terms.items():
-        by_mono.setdefault(mono, {})[w] = c
     acc = MatrixPoly.identity(inv.ring, n, 0)
-    for mono, words in by_mono.items():
-        acc = acc + inv.jn_eval(FreePoly(words)) * inv.pi_monomial(mono)
+    for mono, poly in chi_formal(f, n).items():
+        acc = acc + inv.jn_eval(poly) * inv.pi_monomial(mono)
     return VerifyEntry("ch", n, _scaled_multidegree(f, n, alphabet),
                        0, 0, 0, acc.is_zero())
 

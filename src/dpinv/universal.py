@@ -69,16 +69,6 @@ def build_An(p: Presentation, n: int
     return gens, images
 
 
-def jnr_image(p: Presentation, n: int, f: FreePoly) -> MatrixPoly:
-    """Image of f in the universal matrix ring, to be read modulo the
-    emitted ideal; no reduction is performed."""
-    k = len(p.alphabet)
-    for w in f.terms:
-        if any(a >= k for a in w):
-            raise ValueError("element mentions an undeclared generator")
-    return MatrixInvariants.get(p.alphabet, n).jn_eval(f)
-
-
 def ideal_piece(gens: list[CommPoly], max_deg: int) -> list[CommPoly]:
     """Spanning set of the ideal slice of total degree <= max_deg:
     monomial multiples of the generators that stay within the bound."""

@@ -100,6 +100,8 @@ def test_sym_command(capsys):
     # x[x][1][1]^132 is past the packing bound
     (("pi", f"[{'x' * 132}^(1)|n=1]"),
      "an exponent reached 128, the packing's bound"),
+    (("verify", "--maxdeg", "-3"), "--maxdeg must be at least 0, not -3"),
+    (("verify", "--workers", "-4"), "--workers must be at least 0, not -4"),
 ])
 def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

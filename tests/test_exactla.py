@@ -103,7 +103,8 @@ def test_rejects_non_integer_entries_and_wrong_ncols():
         ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [1, 2]])
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]], ncols=5)
-    assert ExactMatrix([[1, 2]], ncols=2).shape == (1, 2)
+    m = ExactMatrix([[1, 2]], ncols=2)
+    assert (m.nrows, m.ncols) == (1, 2)
 
 
 def test_rank_invariant_under_shuffles_and_scalings():

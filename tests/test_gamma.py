@@ -9,7 +9,7 @@ from dpinv import gamma
 from dpinv.freering import Alphabet, FreePoly, Word, word_from_str
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
                          dp_expand, dp_mul, dp_product, enumerate_dp_monomials,
-                         format_gamma, parse_gamma, rho_n, sigma_n, tau, tau_n)
+                         format_gamma, parse_gamma, rho_n, sigma_n, tau)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -48,11 +48,11 @@ def test_tau_basic_examples():
 
 def test_tau_n_truncates():
     gx2 = sigma_n(GammaElement.monomial(mono((X, 1))), 2)
-    assert tau_n(gx2, gx2, 2) == gel({mono((XX, 1)): 1, mono((X, 2)): 2}, 2)
+    assert tau(gx2, gx2) == gel({mono((XX, 1)): 1, mono((X, 2)): 2}, 2)
     gx1 = sigma_n(GammaElement.monomial(mono((X, 1))), 1)
-    assert tau_n(gx1, gx1, 1) == gel({mono((XX, 1)): 1}, 1)
+    assert tau(gx1, gx1) == gel({mono((XX, 1)): 1}, 1)
     one1 = GammaElement.one(1)
-    assert tau_n(one1, gx1, 1) == gx1
+    assert tau(one1, gx1) == gx1
 
 
 def test_context_mismatch_raises():
@@ -80,7 +80,7 @@ def test_rho_n_drops_full_weight():
     # ring-map example: rho_2(x^(1) tau_2 x^(1)) = x^(1) tau_1 x^(1)
     gx2 = GammaElement.monomial(mono((X, 1)), 2)
     gx1 = GammaElement.monomial(mono((X, 1)), 1)
-    assert rho_n(tau_n(gx2, gx2, 2)) == tau_n(gx1, gx1, 1)
+    assert rho_n(tau(gx2, gx2)) == tau(gx1, gx1)
 
 
 def test_rho_compose_sigma():
@@ -207,7 +207,7 @@ def test_tau_n_matches_full_margin_oracle():
         for u, v in itertools.product(monos, repeat=2):
             gu = GammaElement.monomial(u, n)
             gv = GammaElement.monomial(v, n)
-            assert tau_n(gu, gv, n) == full_margin_tau_oracle(u, v, n), \
+            assert tau(gu, gv) == full_margin_tau_oracle(u, v, n), \
                 (n, u, v)
 
 
@@ -222,13 +222,22 @@ def test_tau_is_graded():
 
 def test_chi_formal_small():
     fx = FreePoly.letter(0)
-    chi1 = chi_formal(fx, 1)
-    assert chi1.terms == {(DPMonomial.one(), X): 1,
-                          (mono((X, 1)), Word()): -1}
-    chi2 = chi_formal(fx, 2)
-    assert chi2.terms == {(DPMonomial.one(), XX): 1,
-                          (mono((X, 1)), X): -1,
-                          (mono((X, 2)), Word()): 1}
+    # each divided-power monomial maps to its word polynomial; the top
+    # divided power carries a constant
+    assert chi_formal(fx, 1) == {DPMonomial.one(): FreePoly({X: 1}),
+                                 mono((X, 1)): FreePoly({Word(): -1})}
+    assert chi_formal(fx, 2) == {DPMonomial.one(): FreePoly({XX: 1}),
+                                 mono((X, 1)): FreePoly({X: -1}),
+                                 mono((X, 2)): FreePoly({Word(): 1})}
+    # f = x + xy at n=2: each monomial of f^(1) carries -f, and each one of
+    # f^(2) its coefficient as a constant
+    f = FreePoly({X: 1, XY: 1})
+    chi = chi_formal(f, 2)
+    assert len(chi) == 3 + len(dp_expand(f, 2).terms)
+    assert chi[DPMonomial.one()] == f * f
+    assert chi[mono((X, 1))] == -f and chi[mono((XY, 1))] == -f
+    assert {m: p for m, p in chi.items() if m.weight == 2} == {
+        m: FreePoly({Word(): c}) for m, c in dp_expand(f, 2).terms.items()}
     with pytest.raises(ValueError):
         chi_formal(FreePoly.one(), 1)
     with pytest.raises(ValueError):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dpinv.freering import Alphabet, word_from_str  # noqa: E402
 from dpinv.gamma import (DPMonomial, GammaElement,  # noqa: E402
-                         enumerate_dp_monomials, sigma_n, tau, tau_monomials,
-                         tau_n)
+                         enumerate_dp_monomials, sigma_n, tau, tau_monomials)
 from dpinv.theorems import multidegrees  # noqa: E402
 from test_gamma import full_margin_tau_oracle  # noqa: E402
 
@@ -109,5 +108,5 @@ def test_tau_kernel_matches_full_margin_oracle(uv, drop):
     # cell of the oracle absorbs the weight that the truncation drops
     for n in sorted({full, max(u.weight, v.weight, full - drop)}):
         gu, gv = GammaElement.monomial(u, n), GammaElement.monomial(v, n)
-        assert tau_n(gu, gv, n) == full_margin_tau_oracle(u, v, n), (n, u, v)
+        assert tau(gu, gv) == full_margin_tau_oracle(u, v, n), (n, u, v)
     assert GammaElement(limit.terms, full) == full_margin_tau_oracle(u, v, full)

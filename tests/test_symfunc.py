@@ -259,9 +259,7 @@ def test_partitions_enumeration():
                  for r in range(weight)
                  for cuts in itertools.combinations(range(1, weight), r)]
         for max_parts in (None, 1, 2, 3):
-            for max_part in (None, 2, 4):
-                want = sorted({tuple(sorted(c, reverse=True)) for c in comps
-                               if (max_parts is None or len(c) <= max_parts)
-                               and (max_part is None or max(c) <= max_part)},
-                              reverse=True)
-                assert partitions(weight, max_parts, max_part) == want
+            want = sorted({tuple(sorted(c, reverse=True)) for c in comps
+                           if max_parts is None or len(c) <= max_parts},
+                          reverse=True)
+            assert partitions(weight, max_parts) == want

@@ -4,8 +4,7 @@ import pytest
 
 from dpinv.backend import Terms
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
-from dpinv.gamma import (ContextError, DPMonomial, GammaElement, NormedTensor,
-                         chi_formal)
+from dpinv.gamma import ContextError, DPMonomial, GammaElement
 from dpinv.invariants import CommPoly, MatrixInvariants
 
 AB = Alphabet("xy")
@@ -26,10 +25,6 @@ def comm_poly(n=2):
     return MatrixInvariants.get(AB, n).generic_matrix("x").trace() - 5
 
 
-def normed_tensor(n=2):
-    return chi_formal(parse_freepoly("x + x*y", AB), n)
-
-
 # each element, an element of another context, and the error mixing them
 # raises; the free ring has a single context, so only a foreign type
 # mismatches it
@@ -37,7 +32,6 @@ CASES = {
     "FreePoly": (free_poly, gamma_element, TypeError),
     "GammaElement": (gamma_element, lambda: gamma_element(2), ContextError),
     "CommPoly": (comm_poly, lambda: comm_poly(3), ValueError),
-    "NormedTensor": (normed_tensor, lambda: normed_tensor(3), ContextError),
 }
 
 
@@ -58,7 +52,7 @@ def test_sums_and_negation(case):
 
 def test_types_and_contexts_separate_equal_terms(case):
     x, foreign, _ = case
-    for other in (free_poly(), gamma_element(), comm_poly(), normed_tensor()):
+    for other in (free_poly(), gamma_element(), comm_poly()):
         if type(other) is not type(x):
             assert other._like(dict(x.terms)) != x
     assert foreign._like(dict(x.terms)) != x

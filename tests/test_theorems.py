@@ -357,6 +357,24 @@ def test_verify_cayley_hamilton_spec_cases():
     assert e.multidegree == (1, 0)
 
 
+def test_cayley_hamilton_fails_on_one_doubled_term(monkeypatch):
+    # doubling the word polynomial of any one divided-power monomial of
+    # chi_n(f) leaves that term's image over, and the verdict must see it
+    genuine = theorems.chi_formal
+    for n in (1, 2):
+        for text in ["x", "x*y", "x+y"]:
+            f = parse_freepoly(text, AB)
+            for mono in genuine(f, n):
+                def doubled(g, k, mono=mono):
+                    chi = genuine(g, k)
+                    chi[mono] = chi[mono] * 2
+                    return chi
+                monkeypatch.setattr(theorems, "chi_formal", doubled)
+                assert not verify_cayley_hamilton(f, n, AB).passed, \
+                    (n, text, mono)
+                monkeypatch.undo()
+
+
 def test_verify_zubkov():
     # |d| <= n: both ranks zero
     e = verify_zubkov_kernel(2, (2,), AB1)

@@ -6,7 +6,7 @@ from dpinv.exactla import ExactMatrix
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly
 from dpinv.invariants import CommPoly, MatrixInvariants
 from dpinv.universal import (Presentation, build_An, ideal_membership,
-                             ideal_piece, jnr_image, load_presentation)
+                             ideal_piece, load_presentation)
 
 
 def pres(gen_names, relation_texts):
@@ -45,15 +45,17 @@ def test_relation_with_undeclared_generator():
 
 
 def test_jnr_image_cases():
+    # an element's image in the universal ring is its generic-matrix image,
+    # read modulo the ideal
     p = pres("x", ["x^2"])
-    zx = jnr_image(p, 1, parse_freepoly("x", p.alphabet))
+    ctx = MatrixInvariants.get(p.alphabet, 1)
+    zx = ctx.jn_eval(parse_freepoly("x", p.alphabet))
     assert zx.entries[0][0].to_str() == "x[x][1][1]"
     # a relation maps to a matrix of ideal generators
-    rel_img = jnr_image(p, 1, parse_freepoly("x^2", p.alphabet))
-    gens, _ = build_An(p, 1)
+    rel_img = ctx.jn_eval(parse_freepoly("x^2", p.alphabet))
+    gens, images = build_An(p, 1)
     assert rel_img.entries[0][0] == gens[0]
-    with pytest.raises(ValueError):
-        jnr_image(p, 1, parse_freepoly("y", Alphabet("xy")))
+    assert images == [zx]
 
 
 def test_membership_certificate_degree_three():
@@ -129,7 +131,9 @@ def test_jnr_equals_jn_for_free_presentation():
     p = pres("xy", [])
     ctx = MatrixInvariants.get(p.alphabet, 2)
     f = parse_freepoly("x*y - 2*y", p.alphabet)
-    assert jnr_image(p, 2, f) == ctx.jn_eval(f)
+    # with no relations the images are the generic matrices themselves
+    gens, (zx, zy) = build_An(p, 2)
+    assert gens == [] and ctx.jn_eval(f) == zx * zy - zy * 2
 
 
 def _piece_rank(gens, max_deg):
