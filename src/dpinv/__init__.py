@@ -10,8 +10,8 @@ and the universal matrix-embedding ring of a presented ring.
 from .backend import backend_name
 from .exactla import ExactMatrix, in_span
 from .freering import (Alphabet, FreePoly, ParseError, Word,
-                       cyclic_normal_form, enumerate_necklaces,
-                       enumerate_words, parse_freepoly, primitive_decompose,
+                       cyclic_normal_form, enumerate_lyndon_words,
+                       enumerate_necklaces, enumerate_words, parse_freepoly,
                        word_from_str)
 from .gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
                     dp_expand, dp_mul, dp_product, enumerate_dp_monomials,

@@ -1,9 +1,13 @@
 """Words, necklaces and noncommutative integer polynomials.
 
 The session alphabet is an ordered finite set of letters; words are tuples
-of letter indices.  The free ring on the alphabet is represented sparsely
-as a map from words to integer coefficients, the empty word carrying the
-constant term.  Everything here is an immutable value.
+of letter indices.  Necklaces and Lyndon words come straight from their
+definitions by rotation: a necklace is <= each of its rotations, a Lyndon
+word < each of its proper rotations.  These words are only as long as a
+cell's degree, so comparing every rotation is cheap.  The free ring on the
+alphabet is represented sparsely as a map from words to integer
+coefficients, the empty word carrying the constant term.  Everything here
+is an immutable value.
 """
 
 from __future__ import annotations
@@ -89,9 +93,6 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[int] = ()):
-        return super().__new__(cls, letters)
-
     def __add__(self, other) -> "Word":  # concatenation
         return Word(tuple.__add__(self, other))
 
@@ -116,51 +117,10 @@ def word_from_str(text: str, alphabet: Alphabet) -> Word:
 
 
 def cyclic_normal_form(w: Word) -> Word:
-    """Lexicographically least rotation of a nonempty word (Booth)."""
+    """Lexicographically least rotation of a nonempty word."""
     if len(w) == 0:
         raise ValueError("the empty word has no cyclic class")
-    s = tuple(w) + tuple(w)
-    n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return Word(s[k:k + len(w)])
-
-
-def primitive_decompose(w: Word) -> tuple[Word, int]:
-    """Write w = u^k with u primitive and k maximal.
-
-    The smallest period is read off the KMP failure function: p = n - b
-    where b is the longest proper border, and w is a power of its prefix
-    exactly when p divides n.
-    """
-    n = len(w)
-    if n == 0:
-        raise ValueError("the empty word has no primitive decomposition")
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = fail[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[n - 1]
-    if n % p == 0:
-        return Word(w[:p]), n // p
-    return Word(w), 1
+    return Word(min(w[i:] + w[:i] for i in range(len(w))))
 
 
 def enumerate_words(nletters: int,
@@ -185,10 +145,20 @@ def enumerate_words(nletters: int,
 
 def enumerate_necklaces(nletters: int,
                         max_multidegree: tuple[int, ...]) -> list[Word]:
-    """The least rotation of each cyclic class within the bound (its
-    ``cyclic_normal_form``), in graded lex order."""
+    """The words within the bound that are <= each of their rotations, so
+    the least rotation of each cyclic class (its ``cyclic_normal_form``),
+    in graded lex order."""
     return [w for w in enumerate_words(nletters, max_multidegree)
-            if cyclic_normal_form(w) == w]
+            if all(w <= w[i:] + w[:i] for i in range(1, len(w)))]
+
+
+def enumerate_lyndon_words(nletters: int,
+                           max_multidegree: tuple[int, ...]) -> list[Word]:
+    """The words within the bound that are < each of their proper
+    rotations: the Lyndon words, the necklaces of primitive words, in
+    graded lex order."""
+    return [w for w in enumerate_words(nletters, max_multidegree)
+            if all(w < w[i:] + w[:i] for i in range(1, len(w)))]
 
 
 def distinct_permutations(seq) -> Iterator[tuple]:

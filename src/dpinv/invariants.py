@@ -40,8 +40,8 @@ from operator import add, mul, or_
 
 from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
-                       cyclic_normal_form, enumerate_necklaces,
-                       format_signed_sum, multisets, primitive_decompose)
+                       cyclic_normal_form, enumerate_lyndon_words,
+                       enumerate_necklaces, format_signed_sum, multisets)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
@@ -373,8 +373,6 @@ class MatrixInvariants:
         """The generic matrix of the given letter (name or index)."""
         if isinstance(s, str):
             s = self.alphabet.index(s)
-        if not 0 <= s < len(self.alphabet):
-            raise KeyError(f"letter index {s} outside the alphabet")
         return self.word_matrix(Word((s,)))
 
     def word_matrix(self, w: Word) -> MatrixPoly:
@@ -387,6 +385,8 @@ class MatrixInvariants:
         if len(w) == 0:
             m = MatrixPoly.identity(ring, n)
         elif len(w) == 1:
+            if not 0 <= w[0] < len(self.alphabet):
+                raise KeyError(f"letter index {w[0]} outside the alphabet")
             m = MatrixPoly(ring, [[ring.var(ring.x_index(w[0], i, j))
                                    for j in range(1, n + 1)]
                                   for i in range(1, n + 1)])
@@ -408,8 +408,7 @@ class MatrixInvariants:
         words = [w for w, _ in m.factors]
         a = tuple(e for _, e in m.factors)
         r = len(a)
-        lyndon = [u for u in enumerate_necklaces(r, max_multidegree=a)
-                  if primitive_decompose(u)[1] == 1]
+        lyndon = enumerate_lyndon_words(r, max_multidegree=a)
         necks = [cyclic_normal_form(Word(x for k in u for x in words[k]))
                  for u in lyndon]
         coeffs: dict[tuple, int] = {}

@@ -1,13 +1,13 @@
 import itertools
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from dpinv.freering import (Alphabet, FreePoly, ParseError, Word,
                             compositions, cyclic_normal_form,
-                            distinct_permutations, enumerate_necklaces,
-                            enumerate_words, multisets, parse_freepoly,
-                            primitive_decompose, word_from_str)
+                            distinct_permutations, enumerate_lyndon_words,
+                            enumerate_necklaces, enumerate_words, multisets,
+                            parse_freepoly, word_from_str)
 
 AB = Alphabet("xy")
 
@@ -60,37 +60,6 @@ def test_cyclic_normal_form_rejects_empty():
         cyclic_normal_form(Word())
 
 
-def test_primitive_decompose_examples():
-    assert primitive_decompose(w("xyxy")) == (w("xy"), 2)
-    assert primitive_decompose(w("xxy")) == (w("xxy"), 1)
-    assert primitive_decompose(w("xxxx")) == (w("x"), 4)
-
-
-def brute_primitive(word):
-    n = len(word)
-    for p in range(1, n + 1):
-        if n % p == 0 and tuple(word) == tuple(word[:p]) * (n // p):
-            return Word(word[:p]), n // p
-    raise AssertionError
-
-
-def test_primitive_decompose_matches_brute_force():
-    for length in range(1, 9):
-        for letters in itertools.product((0, 1), repeat=length):
-            word = Word(letters)
-            u, k = primitive_decompose(word)
-            bu, bk = brute_primitive(word)
-            assert (u, k) == (bu, bk)
-            assert Word(tuple(u) * k) == word
-
-
-def test_primitive_root_stable_under_powers():
-    for base in [w("x"), w("xy"), w("xxy"), w("xyy")]:
-        root = primitive_decompose(base)[0]
-        for k in range(1, 5):
-            assert primitive_decompose(Word(tuple(base) * k))[0] == root
-
-
 def euler_phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -117,6 +86,33 @@ def test_enumerate_necklaces_counts_match_formula():
                        for d in range(1, length + 1)
                        if length % d == 0) // length
         assert by_len[length] == expected
+
+
+def mobius(n):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def test_enumerate_lyndon_words_counts_match_witt_formula():
+    # Lyndon words of content (a, b): (1/L) sum_{k | gcd(a,b)} mu(k) C(L/k, a/k)
+    for length in range(1, 11):
+        for a in range(length + 1):
+            g = gcd(a, length - a)
+            expected = sum(mobius(k) * comb(length // k, a // k)
+                           for k in range(1, g + 1) if g % k == 0) // length
+            got = [u for u in enumerate_lyndon_words(2, (a, length - a))
+                   if len(u) == length]
+            assert len(got) == expected, (a, length - a)
+    assert [u.to_str(AB) for u in enumerate_lyndon_words(2, (2, 2))] == \
+        ["x", "y", "xy", "xxy", "xyy", "xxyy"]
 
 
 def test_enumerate_words_examples():

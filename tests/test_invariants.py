@@ -114,6 +114,18 @@ def test_generic_matrix_entries():
         inv(2).generic_matrix("q")
 
 
+@pytest.mark.parametrize("letter", [1, -1])
+def test_letter_index_outside_the_alphabet_is_rejected(letter):
+    ctx = MatrixInvariants.get(Alphabet("x"), 1)
+    for w in (Word((letter,)), Word((0, letter))):
+        with pytest.raises(KeyError):
+            ctx.word_matrix(w)
+        with pytest.raises(KeyError):
+            ctx.jn_eval(FreePoly.from_word(w))
+    with pytest.raises(KeyError):
+        ctx.generic_matrix(letter)
+
+
 def test_distinct_letters_use_disjoint_variables():
     zx = inv(2).generic_matrix("x")
     zy = inv(2).generic_matrix("y")

@@ -66,6 +66,17 @@ def test_pi_monomial_matches_parametric_determinant(n):
     assert checked == {1: 15, 2: 26, 3: 30}[n]
 
 
+def test_pi_monomial_of_a_periodic_concatenation():
+    # xy^(1) xyxy^(1): the Lyndon word of both factors concatenates them to
+    # xyxyxy = (xy)^3, so pi normalizes a proper power
+    ctx = MatrixInvariants.get(AB, 2)
+    words = [word_from_str(s, AB) for s in ("xy", "xyxy")]
+    m = DPMonomial((w, 1) for w in words)
+    want = coefficient(ctx.ring, words, (1, 1))
+    assert want
+    assert as_dict(ctx.ring, ctx.pi_monomial(m)) == want
+
+
 @pytest.mark.parametrize("exponents", [(1, 1, 1), (2, 1, 0)])
 def test_multidet_coeff_three_matrices(exponents):
     # the mixed-minor oracle of the property tests against sympy
