@@ -22,8 +22,7 @@ from .symfunc import (Partition, SymPoly, c_alpha, m_to_e, partitions,
                       plethysm_e_p, rho_a_substitute)
 from .theorems import (VerifyEntry, abelianized_piece,
                        reduce_to_single_generators, tau_evaluate,
-                       verify_cayley_hamilton, verify_plethysm,
-                       verify_tau_axioms, verify_thm_2_2_2,
+                       verify_cayley_hamilton, verify_thm_2_2_2,
                        verify_zubkov_kernel)
 from .universal import (Presentation, build_An, ideal_membership,
                         ideal_piece, load_presentation)

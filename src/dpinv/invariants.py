@@ -385,8 +385,7 @@ class MatrixInvariants:
         if len(w) == 0:
             m = MatrixPoly.identity(ring, n)
         elif len(w) == 1:
-            if not 0 <= w[0] < len(self.alphabet):
-                raise KeyError(f"letter index {w[0]} outside the alphabet")
+            self._check_letters(w)
             m = MatrixPoly(ring, [[ring.var(ring.x_index(w[0], i, j))
                                    for j in range(1, n + 1)]
                                   for i in range(1, n + 1)])
@@ -394,6 +393,11 @@ class MatrixInvariants:
             m = self.word_matrix(Word(w[:-1])) * self.word_matrix(Word(w[-1:]))
         self._word_mats[w] = m
         return m
+
+    def _check_letters(self, w: Word) -> None:
+        for a in w:
+            if not 0 <= a < len(self.alphabet):
+                raise KeyError(f"letter index {a} outside the alphabet")
 
     def jn_eval(self, f: FreePoly) -> MatrixPoly:
         """The ring homomorphism sending each letter to its generic matrix."""
@@ -406,6 +410,8 @@ class MatrixInvariants:
         """Image of a standard-basis monomial under the invariant pairing,
         by Amitsur's formula (see the module docstring)."""
         words = [w for w, _ in m.factors]
+        for w in words:
+            self._check_letters(w)
         a = tuple(e for _, e in m.factors)
         r = len(a)
         lyndon = enumerate_lyndon_words(r, max_multidegree=a)

@@ -192,25 +192,15 @@ def rho_a_substitute(sym: SymPoly, a: FreePoly) -> GammaElement:
     """Ring map e_j -> a^(j) into the limit divided-power ring.
 
     An e-monomial becomes the tau-product of the divided-power expansions
-    of a at each part (these commute with each other).  Each distinct
-    prefix of parts is multiplied once, from its parent prefix.
+    of a at each part (these commute with each other).
     """
     if sym.basis != "e":
         raise ValueError("rho_a substitution expects the e-basis")
     total: dict = {}
-    # the product of a proper prefix is kept for the terms that extend it
-    stems = {lam[:k] for lam in sym.terms for k in range(len(lam))}
-    known = {(): GammaElement.one(None)}
-    for lam, c in sym.sorted_terms():
-        k = len(lam)
-        while lam[:k] not in known:
-            k -= 1
-        acc = known[lam[:k]]
-        for part in lam[k:]:
-            acc = tau(acc, dp_expand(a, part))
-            k += 1
-            if lam[:k] in stems:
-                known[lam[:k]] = acc
+    # m_to_e's order, which misses the tau_monomials cache less than sorted
+    for lam, c in sym.terms.items():
+        acc = functools.reduce(tau, (dp_expand(a, part) for part in lam),
+                               GammaElement.one(None))
         poly_add_scaled(total, acc.terms, c)
     return GammaElement(total)
 

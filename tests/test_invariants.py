@@ -124,6 +124,12 @@ def test_letter_index_outside_the_alphabet_is_rejected(letter):
             ctx.jn_eval(FreePoly.from_word(w))
     with pytest.raises(KeyError):
         ctx.generic_matrix(letter)
+    for w in (Word((letter,)), Word((0, letter))):
+        m = DPMonomial.single(w)
+        with pytest.raises(KeyError):
+            ctx.pi_monomial(m)
+        with pytest.raises(KeyError):
+            ctx.pi_n_eval(GammaElement.monomial(m, 1))
 
 
 def test_distinct_letters_use_disjoint_variables():

@@ -171,28 +171,6 @@ def test_rho_a_examples():
     assert rho_a_substitute(e_comb, FX) == dp_expand(FX * FX, 1)
 
 
-def test_rho_a_multiplies_each_prefix_of_parts_once(monkeypatch):
-    # every term against its tau-product built from the identity, while
-    # tau runs once per distinct nonempty prefix of the partitions
-    lams = [lam for w in range(6) for lam in partitions(w)]
-    sym = SymPoly("e", {lam: (-1) ** k * (k + 1)
-                        for k, lam in enumerate(lams)}, 5)
-    prefixes = {lam[:k] for lam in lams for k in range(1, len(lam) + 1)}
-    for a in (FX + FY, 2 * FX - FX * FY):
-        expected = GammaElement.zero(None)
-        for lam, c in sym.terms.items():
-            acc = GammaElement.one(None)
-            for part in lam:
-                acc = tau(acc, dp_expand(a, part))
-            expected = expected + acc * c
-        calls = []
-        monkeypatch.setattr(symfunc, "tau",
-                            lambda u, v: calls.append(1) or tau(u, v))
-        assert rho_a_substitute(sym, a) == expected
-        assert len(calls) == len(prefixes)
-        monkeypatch.undo()
-
-
 def test_plethysm_head_identity_small_elements():
     # (a^n)^(i) = rho_a(e_i o p_n) for elements of total degree <= 2
     elements = [FX, FY, FX * FY, FX + FY, 2 * FX - FY]
