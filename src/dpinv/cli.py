@@ -105,8 +105,7 @@ def _run_job(job: partial) -> VerifyEntry:
     """Run one cell; its wall time is taken here and nowhere else."""
     t0 = time.perf_counter()
     entry = job()
-    entry.millis = int((time.perf_counter() - t0) * 1000)
-    return entry
+    return entry._replace(millis=int((time.perf_counter() - t0) * 1000))
 
 
 def run_verify(cfg: dict) -> dict:
@@ -122,8 +121,7 @@ def run_verify(cfg: dict) -> dict:
     else:
         entries = [_run_job(j) for j in jobs]
     if not cfg["timing"]:
-        for e in entries:
-            e.millis = 0
+        entries = [e._replace(millis=0) for e in entries]
     entries.sort(key=VerifyEntry.sort_key)
     return {
         "config": {

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers, and span membership over Q.
+"""Exact linear algebra over the integers, span membership included.
 
 Rank, Smith normal form and span membership all run one sparse
 unimodular row elimination, ``backend.eliminate``, whose pivot rows are an
@@ -6,19 +6,18 @@ echelon Z-basis of the row lattice.  Rank counts its pivots.  The Smith
 form is the absolute values of its pivots when it also reduces each
 non-unit pivot row by column operations and takes it only once it
 divides every row left.  ``reduce_row`` is the one reduction of a row
-against those pivots: it divides exactly, and reaches zero, exactly when
-the row lies in their Z-lattice.  Span membership reads its certificate
-off that reduction and the pivots' combinations of the input rows, so it
-is all ints exactly when the target lies in the rows' Z-lattice; a
-Fraction appears only when the target needs a denominator.  The 2.2.2
-cell hands its sparse rows to ``eliminate`` and ``reduce_row`` directly.
+against those pivots, by division with remainder: the remainder it leaves
+is empty exactly when the row lies in their Z-lattice, and is the witness
+otherwise.  Span membership is decided over Z: its certificate is read off
+that reduction and the pivots' combinations of the input rows, all ints,
+and no denominator appears.  The 2.2.2 cell hands its sparse rows to
+``eliminate`` and ``reduce_row`` directly.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from math import gcd
 
 from .backend import bareiss_rank, eliminate, poly_add_scaled, sparse_row
 
@@ -61,69 +60,48 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def reduce_row(pivots, t) -> tuple[int, dict, dict]:
+def reduce_row(pivots, t) -> tuple[dict, dict]:
     """Reduce the ``{col: int}`` row t (not changed) against the pivots of
-    ``eliminate`` in their order, which clears t at every pivot col.
+    ``eliminate`` in their order, by division with remainder.
 
-    Returns ``(scale, coords, rest)`` with ``scale * t == sum(coords[j] *
-    pivots[j][1]) + rest``.  Where the pivot p divides t's entry a, the
-    step is ``t -= (a // p) * row``; otherwise t first takes the scale
-    ``p / gcd(p, a)``.  So t lies in the pivots' Q-span iff ``not rest``,
-    and in their Z-lattice iff also ``scale == 1``.
+    Returns ``(coords, rest)`` with ``t == sum(coords[j] * pivots[j][1]) +
+    rest``.  At each pivot ``(c, row)`` where t has an entry, the step is
+    ``t -= (t[c] // row[c]) * row``, which leaves ``|rest[c]| < |row[c]|``.
+    A pivot row is zero at the col of every earlier pivot, so no later step
+    touches that remainder: t lies in the pivots' Z-lattice iff ``not
+    rest``, and otherwise rest is the witness.
     """
     t = dict(t)
     coords = {}
-    scale = 1
-    for j, (c, top, _) in enumerate(pivots):
-        a = t.get(c)
-        if a is None:
-            continue
-        p = top[c]
-        if a % p:
-            g = gcd(p, a)
-            s, a = p // g, a // g
-            scale *= s
-            for k in t:
-                t[k] *= s
-            for k in coords:
-                coords[k] *= s
-        else:
-            a //= p
-        poly_add_scaled(t, top, -a)
-        coords[j] = a
-    return scale, coords, t
+    for j, (c, row, _) in enumerate(pivots):
+        if c in t:
+            coords[j] = q = t[c] // row[c]
+            poly_add_scaled(t, row, -q)
+    return coords, t
 
 
 def in_span(rows, target) -> tuple[bool, list | None]:
-    """Exact membership of target in the Q-span of the given rows.
+    """Exact membership of target in the Z-lattice of the given rows.
 
     Rows and target are sparse ``{column: int}`` dicts with any hashable
     column key, or dense int sequences of one common length (read as dicts
     on their positions).  Returns ``(True, c)`` with ``sum(c[i] * rows[i])
-    == target`` and ``len(c) == len(rows)``, else ``(False, None)``.  The
-    certificate is all ints exactly when target lies in the Z-lattice of
-    the rows, and all Fractions otherwise, so a target that is a member
-    only over Q shows its denominator.
+    == target``, ``len(c) == len(rows)`` and every ``c[i]`` an int, else
+    ``(False, None)``; a target that is a member only over Q is not one.
 
     Sparse integer elimination that carries row combinations (LaMacchia and
     Odlyzko, CRYPTO '90): ``backend.eliminate`` with ``track``, then
-    ``reduce_row``; the certificate is ``sum(coords[j] * combo_j) /
-    scale``.
+    ``reduce_row``; the certificate is ``sum(coords[j] * combo_j)``.
     """
     rows = list(rows)
     if len({len(r) for r in (*rows, target)
             if not isinstance(r, Mapping)}) > 1:
         raise ValueError("dimension mismatch")
     pivots = eliminate(map(sparse_row, rows), track=True)
-    scale, coords, rest = reduce_row(pivots, sparse_row(target))
+    coords, rest = reduce_row(pivots, sparse_row(target))
     if rest:
         return False, None
     combo = {}
     for j, a in coords.items():
         poly_add_scaled(combo, pivots[j][2], a)
-    coeffs = [combo.get(i, 0) for i in range(len(rows))]
-    if scale == 1:
-        return True, coeffs
-    from fractions import Fraction
-
-    return True, [Fraction(c, scale) for c in coeffs]
+    return True, [combo.get(i, 0) for i in range(len(rows))]

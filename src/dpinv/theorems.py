@@ -8,8 +8,8 @@ entries.  Failures are report entries, never exceptions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .backend import eliminate, poly_add_scaled
 from .exactla import ExactMatrix, reduce_row
@@ -21,8 +21,7 @@ from .invariants import MatrixInvariants, MatrixPoly
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
-@dataclass
-class VerifyEntry:
+class VerifyEntry(NamedTuple):
     """One report line; the JSON schema mirrors these fields."""
 
     theorem: str
@@ -218,8 +217,8 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
         # torsion-free relations, and the pi-image lattice already holds
         # the spanning set over Z
         reduced = (reduce_row(pi_pivots, p.terms) for p in span)
-        passed = passed and all(t == 1 for t in torsion) and all(
-            scale == 1 and not rest for scale, _, rest in reduced)
+        passed = passed and all(t == 1 for t in torsion) and not any(
+            rest for _, rest in reduced)
     if seed is not None:
         if not _conjugation_spot_check(inv, pi_polys, d, seed, n):
             passed = False

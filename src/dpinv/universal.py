@@ -10,26 +10,24 @@ forms are computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactla import in_span
 from .freering import Alphabet, FreePoly, parse_freepoly
 from .invariants import CommPoly, MatrixInvariants, MatrixPoly
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators (an ordered alphabet) and relation polynomials."""
 
-    alphabet: Alphabet
-    relations: tuple[FreePoly, ...]
+    __slots__ = ("alphabet", "relations")
 
-    def __post_init__(self):
-        k = len(self.alphabet)
-        for r in self.relations:
+    def __init__(self, alphabet: Alphabet, relations: tuple[FreePoly, ...]):
+        k = len(alphabet)
+        for r in relations:
             for w in r.terms:
-                if any(a >= k for a in w):
+                if not all(0 <= a < k for a in w):
                     raise ValueError("relation mentions an undeclared generator")
+        self.alphabet = alphabet
+        self.relations = relations
 
 
 def load_presentation(data: dict) -> Presentation:
@@ -90,9 +88,9 @@ def ideal_membership(gens: list[CommPoly], target: CommPoly, max_deg: int
     """One-sided certificate that target lies in the ideal, looking only at
     multiplier monomials within the degree bound.
 
-    Membership is over Q.  The certificate has one coefficient per element
-    of ``ideal_piece(gens, max_deg)``, in that order: ints exactly when
-    target lies in the Z-span of that piece, and Fractions otherwise (see
+    Membership is over Z: target is accepted exactly when it lies in the
+    Z-span of ``ideal_piece(gens, max_deg)``, and the certificate has one
+    int coefficient per element of that piece, in its order (see
     ``exactla.in_span``)."""
     span = ideal_piece(gens, max_deg)
     return in_span([p.terms for p in span], target.terms)

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from dpinv.exactla import ExactMatrix
-from dpinv.freering import Alphabet, FreePoly, parse_freepoly
+from dpinv.freering import Alphabet, FreePoly, Word, parse_freepoly
 from dpinv.invariants import CommPoly, MatrixInvariants
 from dpinv.universal import (Presentation, build_An, ideal_membership,
                              ideal_piece, load_presentation)
@@ -42,6 +40,9 @@ def test_relation_with_undeclared_generator():
     with pytest.raises(ValueError):
         Presentation(Alphabet("x"),
                      (parse_freepoly("x*y", Alphabet("xy")),))
+    # a negative letter index is no generator either
+    with pytest.raises(ValueError):
+        Presentation(Alphabet("x"), (FreePoly({Word((-1,)): 1}),))
 
 
 def test_jnr_image_cases():
@@ -89,14 +90,16 @@ def _commutator_target(gens, degree):
     return gens[0] * m * 3 - gens[1] * m2 * 2 + gens[-1]
 
 
-def test_membership_reports_a_rational_certificate():
-    # the ideal (2x) contains x over Q, with multiplier 1/2
+def test_membership_is_decided_over_z():
+    # the ideal (2x) holds x only over Q, with multiplier 1/2, so x is not
+    # a member; 2x is, with multiplier 1
     p = pres("x", ["2*x"])
     gens, images = build_An(p, 1)
     x11 = images[0].entries[0][0]
-    ok, cert = ideal_membership(gens, x11, max_deg=1)
-    assert ok and cert == [Fraction(1, 2)]
-    assert _remultiply(gens, 1, cert) == x11.terms
+    assert ideal_membership(gens, x11, max_deg=1) == (False, None)
+    ok, cert = ideal_membership(gens, x11 * 2, max_deg=1)
+    assert ok and cert == [1] and type(cert[0]) is int
+    assert _remultiply(gens, 1, cert) == (x11 * 2).terms
 
 
 def test_membership_certificates_are_integers_on_the_commutator_ideal():
