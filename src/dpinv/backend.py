@@ -10,7 +10,11 @@ product once, raising ``OverflowError`` when an exponent reaches
 that bound sum to less than 256, so no product carries into the next field
 unnoticed.  ``freering`` rejects letter powers from the same bound on: the
 generic-matrix image of ``x^k`` holds ``x[x][1][1]^k``.  ``poly_mul``
-is the one multiply loop over commutative monomials.
+is the one product loop for every sparse element whose keys multiply by
+``+``: ``CommPoly`` and the ``MatrixPoly`` entries, whose packed keys
+add, and ``FreePoly``, whose words concatenate.  It keeps the order of
+its operands, so a noncommutative product stays correct; the commutative
+products of ``invariants`` put the shorter operand first themselves.
 
 ``Terms`` is the element arithmetic over such dicts that every
 combination-of-basis-keys type shares: sums, differences, negation,
@@ -42,11 +46,11 @@ def backend_name() -> str:
 
 
 def poly_mul(a, b):
-    """Multiply two packed-key polynomial dicts."""
+    """Multiply two sparse polynomial dicts whose keys multiply by ``+``,
+    keeping the order of the operands: each key of the product is
+    ``ka + kb`` with ``ka`` from ``a``."""
     if not a or not b:
         return {}
-    if len(a) > len(b):
-        a, b = b, a
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():

@@ -116,7 +116,8 @@ def run_verify(cfg: dict) -> dict:
         # imported here, so that runs and commands without a pool do not
         # pay for importing multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once: no more than the cells
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             entries = list(pool.map(_run_job, jobs))
     else:
         entries = [_run_job(j) for j in jobs]

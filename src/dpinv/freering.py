@@ -16,7 +16,7 @@ import itertools
 import re
 from typing import Iterable, Iterator
 
-from .backend import EXPONENT_BOUND, Terms
+from .backend import EXPONENT_BOUND, Terms, poly_mul
 
 
 class ParseError(ValueError):
@@ -285,16 +285,7 @@ class FreePoly(Terms):
     def __mul__(self, other) -> "FreePoly":
         if not isinstance(other, FreePoly):
             return super().__mul__(other)
-        out: dict[Word, int] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                nc = out.get(w, 0) + ca * cb
-                if nc:
-                    out[w] = nc
-                elif w in out:
-                    del out[w]
-        return self._like(out)
+        return self._like(poly_mul(self.terms, other.terms))
 
     def to_str(self, alphabet: Alphabet) -> str:
         return format_signed_sum(

@@ -48,6 +48,12 @@ _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
 _MASK = (1 << _WIDTH) - 1
 
 
+def _comm_mul(a, b):
+    """``poly_mul`` of commuting keys, with the shorter operand in the outer
+    loop: each outer term pays for a pass over the other operand."""
+    return poly_mul(a, b) if len(a) <= len(b) else poly_mul(b, a)
+
+
 class PolyRing:
     """Variable context: the entry variables x[s][i][j] of every letter.
 
@@ -189,7 +195,7 @@ class CommPoly(Terms):
         if isinstance(other, int):
             return super().__mul__(other)
         other = self._coerce(other)
-        return self._like(self.ring.checked(poly_mul(self.terms, other.terms)))
+        return self._like(self.ring.checked(_comm_mul(self.terms, other.terms)))
 
     def total_degree(self) -> int:
         return max((sum(self.ring.unpack(k)) for k in self.terms), default=0)
@@ -263,8 +269,8 @@ class MatrixPoly:
                 for k in range(n):
                     poly_add_scaled(
                         acc,
-                        poly_mul(self.entries[i][k].terms,
-                                 other.entries[k][j].terms), 1)
+                        _comm_mul(self.entries[i][k].terms,
+                                  other.entries[k][j].terms), 1)
                 p = CommPoly.__new__(CommPoly)
                 p.ring, p.terms = self.ring, self.ring.checked(acc)
                 row.append(p)

@@ -141,44 +141,33 @@ def abelianized_piece(n: int | None, d: tuple[int, ...]
                                for _, row, _ in pivots], len(basis))
 
 
-def _random_unimodular(rng: random.Random, n: int
-                       ) -> tuple[list[list[int]], list[list[int]]]:
-    """A product of one elementary integer matrix per ordered pair of
-    distinct indices, in random order, and its inverse."""
-    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    ginv = [row[:] for row in g]
+def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed) -> bool:
+    """Specialize the generic matrices randomly and conjugate: none of the
+    given polynomials may move.  Deterministic per (seed, inv.n, d).
+
+    The conjugate point is made in place by one elementary move per
+    ordered pair (i, j) of distinct indices, in random order: row j +=
+    c*row i, then column i -= c*column j, on every letter matrix.  That is
+    conjugation by I + c*E_ji.  Each point's monomial values come from one
+    table shared by every polynomial, so a monomial is evaluated once per
+    point.
+    """
+    if not polys:
+        return True
+    n = inv.n
+    rng = random.Random(f"{seed}:{n}:{d}")
+    mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            for _ in inv.alphabet]
+    flat = [a for m in mats for row in m for a in row]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     rng.shuffle(pairs)
     for i, j in pairs:
         c = rng.choice((-2, -1, 1, 2))
-        # row j += c * row i on g; the inverse undoes it on the columns
-        for k in range(n):
-            g[j][k] += c * g[i][k]
-            ginv[k][i] -= c * ginv[k][j]
-    return g, ginv
-
-
-def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed, n) -> bool:
-    """Specialize the generic matrices randomly and conjugate: none of the
-    given polynomials may move.  Deterministic per (seed, n, d).
-
-    Each point's monomial values come from one table shared by every
-    polynomial, so a monomial is evaluated once per point.
-    """
-    if not polys:
-        return True
-    rng = random.Random(f"{seed}:{n}:{d}")
-    nletters = len(inv.alphabet)
-    mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            for _ in range(nletters)]
-    g, ginv = _random_unimodular(rng, n)
-
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    flat = [a for m in mats for row in m for a in row]
-    flat_c = [a for m in mats for row in mul(mul(g, m), ginv) for a in row]
+        for m in mats:
+            m[j] = [a + c * b for a, b in zip(m[j], m[i])]
+            for row in m:
+                row[i] -= c * row[j]
+    flat_c = [a for m in mats for row in m for a in row]
     keys = set().union(*(p.terms for p in polys))
     at = inv.ring.monomial_values(keys, flat)
     at_c = inv.ring.monomial_values(keys, flat_c)
@@ -220,7 +209,7 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
         passed = passed and all(t == 1 for t in torsion) and not any(
             rest for _, rest in reduced)
     if seed is not None:
-        if not _conjugation_spot_check(inv, pi_polys, d, seed, n):
+        if not _conjugation_spot_check(inv, pi_polys, d, seed):
             passed = False
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,
                        passed, torsion=torsion)

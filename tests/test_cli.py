@@ -169,6 +169,33 @@ def test_verify_worker_counts_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_pool_has_no_more_workers_than_cells(monkeypatch, capsys):
+    # a stand-in pool that starts no process: it records its size and maps
+    # in this process
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "verify", "--thm", "2.2.2", "--n", "2",
+                       "--maxdeg", "1", "--workers", "5000")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == 3
+    assert sizes == [3]
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only a verify run with more than one worker needs multiprocessing
     code = "import sys, dpinv.cli; print('multiprocessing' in sys.modules)"

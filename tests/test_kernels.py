@@ -51,6 +51,22 @@ def test_poly_mul_matches_reference():
             reference_mul(unpacked(a), unpacked(b))
 
 
+def test_poly_mul_keeps_operand_order():
+    # tuple keys concatenate, so the product is a noncommutative one; the
+    # first operand is the longer one
+    rng = random.Random(33)
+    for _ in range(100):
+        a = {tuple(rng.choices("xy", k=rng.randint(0, 3))):
+             rng.randint(-9, 9) or 1 for _ in range(rng.randint(2, 8))}
+        b = {tuple(rng.choices("xy", k=rng.randint(1, 3))):
+             rng.randint(-9, 9) or 1 for _ in range(len(a) - 1)}
+        expected = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                expected[wa + wb] = expected.get(wa + wb, 0) + ca * cb
+        assert poly_mul(a, b) == {w: c for w, c in expected.items() if c}
+
+
 def test_poly_mul_cancellation():
     # (x - x) * y must come out empty
     a = {1: 1}

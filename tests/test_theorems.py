@@ -1,5 +1,4 @@
 import itertools
-import random
 from math import prod
 
 import pytest
@@ -10,7 +9,7 @@ from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
                          tau)
 from dpinv.invariants import MatrixInvariants
-from dpinv.theorems import (_random_unimodular, _sub_multidegrees,
+from dpinv.theorems import (_sub_multidegrees,
                             abelianized_piece, multidegrees,
                             reduce_to_single_generators, tau_evaluate,
                             verify_cayley_hamilton, verify_plethysm_cell,
@@ -255,7 +254,9 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
     # every rank, so only conjugating the pi images can catch it; the span
     # is frozen because it is built from the same pi_monomial.  The random
     # conjugation applies a row operation for every ordered pair of
-    # indices, so it moves that entry on every seed tried here
+    # indices, so it moves that entry on every seed tried here.  The
+    # genuine pi images must stay put on many more draws: a move that is
+    # not a similarity changes tr X on some of them
     genuine_span = MatrixInvariants.invariant_span
     genuine = MatrixInvariants.pi_monomial
     seeds = range(8)
@@ -275,18 +276,7 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
         assert not any(e.passed for e in entries), n
         monkeypatch.undo()
         assert all(verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s).passed
-                   for s in seeds), n
-
-
-def test_random_unimodular_comes_with_its_inverse():
-    for n in range(1, 6):
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        for seed in range(300):
-            g, ginv = _random_unimodular(random.Random(seed), n)
-            for a, b in ((g, ginv), (ginv, g)):
-                assert [[sum(a[i][k] * b[k][j] for k in range(n))
-                         for j in range(n)] for i in range(n)] == eye, \
-                    (n, seed)
+                   for s in range(300)), n
 
 
 def test_thm_222_spec_rank_examples():
