@@ -25,8 +25,13 @@ u.  Putting t_k -> -t_k, that coefficient is
         prod_u (-1)^(f(u)(|u|+1)) e_f(u)(w_u),
 
 where w_u is the concatenation of the w_k along u, up to rotation.  So
-every image is a signed sum of products of e_i of single necklaces, the
-same products that span the invariant slice, and the only polynomial
+every image is pi(m) = sum_key C[m, key] P_key: P_key is a product of e_i
+of single necklaces, the same products that span the invariant slice, and
+C is an integer matrix found without touching a polynomial
+(``pi_coefficients``).  Its row of m sums the signs of the maps f that
+give one sorted key of (necklace, f(u)) pairs, and drops every map with
+some f(u) > n, since e_i = 0 for i > n.  The maps depend only on the
+exponents a and on n, so they are cached per shape.  The only polynomial
 determinants are the principal minors whose sums are those e_i
 (``principal_minor_sum``).  Cofactor expansion divides nowhere, so all of
 it holds over the integers.
@@ -347,6 +352,24 @@ def charpoly_coeffs(b: MatrixPoly | list) -> list:
     return [principal_minor_sum(rows, i) for i in range(len(rows) + 1)]
 
 
+@lru_cache(maxsize=1024)
+def _amitsur_choices(a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
+    """The Lyndon words u in r = len(a) letters with content <= a, and
+    every map f from them to 0..n with sum_u f(u) content(u) = a, as
+    ``((k, f(u_k)) pairs, sign)``.  A map with some f(u) > n is dropped,
+    since e_f(u) = 0 there.  Depends only on the exponents of a monomial
+    and n, so it is cached per shape."""
+    r = len(a)
+    lyndon = enumerate_lyndon_words(r, max_multidegree=a)
+    choices = []
+    # the multiplicity of Lyndon word k in a multiset is f(u_k)
+    for f in multisets([u.multidegree(r) for u in lyndon], a):
+        if all(i <= n for _, i in f):
+            odd = sum(i * (len(lyndon[k]) + 1) for k, i in f) % 2
+            choices.append((f, -1 if odd else 1))
+    return tuple(lyndon), tuple(choices)
+
+
 class MatrixInvariants:
     """Caches for one (alphabet, n): word matrices, the e_i of necklaces,
     and the products of those e_i at one multidegree."""
@@ -412,28 +435,32 @@ class MatrixInvariants:
             acc = acc + self.word_matrix(w) * c
         return acc
 
-    def pi_monomial(self, m: DPMonomial) -> CommPoly:
-        """Image of a standard-basis monomial under the invariant pairing,
-        by Amitsur's formula (see the module docstring)."""
+    def pi_coefficients(self, m: DPMonomial) -> dict[tuple, int]:
+        """Amitsur's row of m: ``{key: c}`` with ``pi(m) = sum c *
+        prod e_i(w)`` over the (w, i) of each key, a sorted tuple of
+        (necklace, i) pairs with every i <= n (see the module docstring).
+        Every c is a nonzero int."""
         words = [w for w, _ in m.factors]
         for w in words:
             self._check_letters(w)
-        a = tuple(e for _, e in m.factors)
-        r = len(a)
-        lyndon = enumerate_lyndon_words(r, max_multidegree=a)
+        lyndon, choices = _amitsur_choices(tuple(e for _, e in m.factors),
+                                           self.n)
         necks = [cyclic_normal_form(Word(x for k in u for x in words[k]))
                  for u in lyndon]
-        coeffs: dict[tuple, int] = {}
-        # the multiplicity of Lyndon word k in a multiset is f(u_k)
-        for f in multisets([u.multidegree(r) for u in lyndon], a):
+        row: dict[tuple, int] = {}
+        for f, sign in choices:
             key = tuple(sorted((necks[k], i) for k, i in f))
-            odd = sum(i * (len(lyndon[k]) + 1) for k, i in f) % 2
-            coeffs[key] = coeffs.get(key, 0) + (-1 if odd else 1)
+            row[key] = row.get(key, 0) + sign
+        return {key: c for key, c in row.items() if c}
+
+    def pi_monomial(self, m: DPMonomial) -> CommPoly:
+        """Image of a standard-basis monomial under the invariant pairing:
+        its ``pi_coefficients`` row times the products of e_i."""
+        row = self.pi_coefficients(m)
         d = m.multidegree(len(self.alphabet))
         acc: dict[int, int] = {}
-        for key, c in coeffs.items():
-            if c:
-                poly_add_scaled(acc, self._product(d, key).terms, c)
+        for key, c in row.items():
+            poly_add_scaled(acc, self.product(d, key).terms, c)
         return CommPoly(self.ring, acc)
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:
@@ -460,7 +487,7 @@ class MatrixInvariants:
                                   else CommPoly.const(self.ring, e))
         return res
 
-    def _product(self, d: tuple[int, ...], key: tuple) -> CommPoly:
+    def product(self, d: tuple[int, ...], key: tuple) -> CommPoly:
         """prod e_i(w) over the (w, i) of key, whose multidegree is d."""
         if d != self._products_d:
             self._products, self._products_d = {}, d
@@ -484,6 +511,6 @@ class MatrixInvariants:
                  for w in enumerate_necklaces(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
-        return [self._product(d, tuple(sorted(
+        return [self.product(d, tuple(sorted(
                     cands[k] for k, e in picks for _ in range(e))))
                 for picks in multisets(degs, d)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
+from math import prod
 from typing import NamedTuple
 
 from .backend import eliminate, poly_add_scaled
@@ -141,19 +142,34 @@ def abelianized_piece(n: int | None, d: tuple[int, ...]
                                for _, row, _ in pivots], len(basis))
 
 
-def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed) -> bool:
-    """Specialize the generic matrices randomly and conjugate: none of the
-    given polynomials may move.  Deterministic per (seed, inv.n, d).
+def _on_columns(terms: dict, cols) -> dict:
+    """The entries of a sparse row in the given columns."""
+    return {c: terms[c] for c in cols if c in terms}
 
-    The conjugate point is made in place by one elementary move per
-    ordered pair (i, j) of distinct indices, in random order: row j +=
-    c*row i, then column i -= c*column j, on every letter matrix.  That is
-    conjugation by I + c*E_ji.  Each point's monomial values come from one
-    table shared by every polynomial, so a monomial is evaluated once per
-    point.
+
+def _combine(pairs) -> dict:
+    """The sparse sum of c * v over the (int c, sparse row v) pairs."""
+    acc: dict = {}
+    for c, v in pairs:
+        poly_add_scaled(acc, v, c)
+    return acc
+
+
+def _conjugation_spot_check(inv: MatrixInvariants, basis, rows, d,
+                            seed) -> bool:
+    """Specialize the generic matrices randomly and conjugate: no pi value
+    of the basis may move.  Deterministic per (seed, inv.n, d).
+
+    ``rows`` are the ``pi_coefficients`` of the basis.  The conjugate
+    point is made in place by one elementary move per ordered pair (i, j)
+    of distinct indices, in random order: row j += c*row i, then column
+    i -= c*column j, on every letter matrix.  That is conjugation by I +
+    c*E_ji.  At each point every e_i polynomial the rows name is evaluated
+    once, from one table of monomial values, and each pi value is the row
+    times the products of those values.  The full ``pi_monomial`` image of
+    one basis monomial, drawn after the point, must equal its row's value
+    at both points.
     """
-    if not polys:
-        return True
     n = inv.n
     rng = random.Random(f"{seed}:{n}:{d}")
     mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
@@ -168,10 +184,20 @@ def _conjugation_spot_check(inv: MatrixInvariants, polys, d, seed) -> bool:
             for row in m:
                 row[i] -= c * row[j]
     flat_c = [a for m in mats for row in m for a in row]
-    keys = set().union(*(p.terms for p in polys))
-    at = inv.ring.monomial_values(keys, flat)
-    at_c = inv.ring.monomial_values(keys, flat_c)
-    return all(p.value_in(at) == p.value_in(at_c) for p in polys)
+    pick = rng.randrange(len(basis))
+    image = inv.pi_monomial(basis[pick])
+    es = {f: inv.e_poly(*f) for row in rows for key in row for f in key}
+    keys = set(image.terms).union(*(p.terms for p in es.values()))
+    values = []
+    for point in (flat, flat_c):
+        table = inv.ring.monomial_values(keys, point)
+        at = {f: p.value_in(table) for f, p in es.items()}
+        pi = [sum(c * prod(at[f] for f in key) for key, c in row.items())
+              for row in rows]
+        if image.value_in(table) != pi[pick]:
+            return False
+        values.append(pi)
+    return values[0] == values[1]
 
 
 def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,
@@ -187,29 +213,45 @@ def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,
 def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
                           strict_z: bool = False, seed: int | None = None
                           ) -> VerifyEntry:
+    """One multidegree of ``verify_thm_2_2_2``, with pi read as C * P: C
+    the integer ``pi_coefficients`` rows of the basis, P the span's
+    products of e_i.
+
+    The span's ``eliminate`` pivots sit in columns J, and each pivot row is
+    zero at every earlier pivot's column, so projecting onto J is
+    injective on the span's row space, which holds every pi image.  So
+    every rank, the relations lying in ker(pi), and (under ``strict_z``)
+    Z-membership can be read on J, from C times the projected products.
+    """
     inv = MatrixInvariants.get(alphabet, n)
     basis, rel = abelianized_piece(n, d)
     rel_rank = rel.rank()
     torsion = tuple(rel.smith_normal_form()) if strict_z else None
     lhs_rank = len(basis) - rel_rank
 
-    # eliminate takes over its rows: the span lives in the product cache,
-    # and the spot check reads the pi images
-    span = inv.invariant_span(d)
-    pi_polys = [inv.pi_monomial(m) for m in basis]
-    rhs_rank = len(eliminate(dict(p.terms) for p in span))
-    pi_pivots = eliminate(dict(p.terms) for p in pi_polys)
+    # eliminate takes over its rows: the span lives in the product cache
+    span_pivots = eliminate(dict(p.terms) for p in inv.invariant_span(d))
+    rhs_rank = len(span_pivots)
+    cols = [c for c, _, _ in span_pivots]
+    rows = [inv.pi_coefficients(m) for m in basis]
+    on_j = {key: _on_columns(inv.product(d, key).terms, cols)
+            for key in set().union(*rows)}
+    pi_j = [_combine((c, on_j[key]) for key, c in row.items())
+            for row in rows]
+    in_kernel = not any(_combine(zip(r, pi_j)) for r in rel.rows)
+    pi_pivots = eliminate(dict(image) for image in pi_j)
     kernel_rank = len(basis) - len(pi_pivots)
 
-    passed = (lhs_rank == rhs_rank) and (kernel_rank == rel_rank)
+    passed = lhs_rank == rhs_rank and kernel_rank == rel_rank and in_kernel
     if strict_z:
         # torsion-free relations, and the pi-image lattice already holds
-        # the spanning set over Z
-        reduced = (reduce_row(pi_pivots, p.terms) for p in span)
+        # the span's lattice, whose Z-basis is the span pivots
+        reduced = (reduce_row(pi_pivots, _on_columns(row, cols))
+                   for _, row, _ in span_pivots)
         passed = passed and all(t == 1 for t in torsion) and not any(
             rest for _, rest in reduced)
     if seed is not None:
-        if not _conjugation_spot_check(inv, pi_polys, d, seed):
+        if not _conjugation_spot_check(inv, basis, rows, d, seed):
             passed = False
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,
                        passed, torsion=torsion)

@@ -7,13 +7,15 @@ import pytest
 
 from dpinv.backend import poly_add_scaled
 from dpinv.exactla import ExactMatrix
-from dpinv.freering import (Alphabet, FreePoly, Word, distinct_permutations,
-                            enumerate_words, parse_freepoly, word_from_str)
+from dpinv.freering import (Alphabet, FreePoly, Word, cyclic_normal_form,
+                            distinct_permutations, enumerate_words,
+                            parse_freepoly, word_from_str)
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
-                              charpoly_coeffs, det_cofactor,
-                              principal_minor_sum)
+                              _amitsur_choices, charpoly_coeffs,
+                              det_cofactor, principal_minor_sum)
+from dpinv.theorems import multidegrees
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -126,6 +128,8 @@ def test_letter_index_outside_the_alphabet_is_rejected(letter):
         ctx.generic_matrix(letter)
     for w in (Word((letter,)), Word((0, letter))):
         m = DPMonomial.single(w)
+        with pytest.raises(KeyError):
+            ctx.pi_coefficients(m)
         with pytest.raises(KeyError):
             ctx.pi_monomial(m)
         with pytest.raises(KeyError):
@@ -288,6 +292,44 @@ def test_pi_examples():
     rhs = ctx.pi_n_eval(GammaElement({DPMonomial.single(XX): 1,
                                       DPMonomial.single(X, 2): 2}, 2))
     assert lhs == rhs == trace * trace
+
+
+C_ROW_CELLS = ([(AB, n, d) for n in (1, 2, 3) for d in multidegrees(2, 4)]
+               + [(Alphabet("xyz"), 2, d) for d in multidegrees(3, 3)])
+
+
+def test_pi_monomial_is_its_c_row_times_products_of_e():
+    # pi(m) = sum C[m, key] * prod e_i(w) over the (w, i) of key, every key
+    # a sorted tuple of (necklace, i) with 1 <= i <= n and every C entry a
+    # nonzero int; the products are rebuilt here from e_poly.  The
+    # monomials are those of the limit ring, so weights above n, where
+    # maps with some f(u) > n are dropped, are covered too
+    for alphabet, n, d in C_ROW_CELLS:
+        ctx = MatrixInvariants.get(alphabet, n)
+        for m in enumerate_dp_monomials(d, None):
+            acc = CommPoly.zero(ctx.ring)
+            for key, c in ctx.pi_coefficients(m).items():
+                assert type(c) is int and c, (n, m, key)
+                assert list(key) == sorted(key), (n, m, key)
+                product = CommPoly.const(ctx.ring, 1)
+                for w, i in key:
+                    assert 1 <= i <= n and cyclic_normal_form(w) == w
+                    product = product * ctx.e_poly(w, i)
+                acc = acc + product * c
+            assert ctx.pi_monomial(m) == acc, (n, m)
+
+
+def test_c_row_shape_cache_is_bounded():
+    maxsize = _amitsur_choices.cache_info().maxsize
+    assert maxsize is not None
+    # one shape per n: the Lyndon word x and the one map x -> 1
+    for n in range(1, maxsize + 3):
+        assert _amitsur_choices((1,), n) == ((Word((0,)),), ((((0, 1),), 1),))
+    assert _amitsur_choices.cache_info().currsize <= maxsize
+    # x^(2) at n=1: e_2(x) = 0, so the only map is dropped
+    assert _amitsur_choices((2,), 1) == ((Word((0,)),), ())
+    ctx = MatrixInvariants.get(Alphabet("x"), 1)
+    assert ctx.pi_coefficients(DPMonomial.single(Word((0,)), 2)) == {}
 
 
 def test_pi_context_mismatch():

@@ -235,18 +235,58 @@ def test_sparse_cell_matches_the_dense_oracle(strict_z):
 def test_strict_z_fails_a_pi_image_off_the_span_lattice(monkeypatch):
     # doubling the image of x^(1) keeps every rank, and 2 tr X spans the
     # slice over Q but not over Z: only the lattice check can catch it
+    # (the cell and pi_monomial both read the doubled C row)
     pytest.importorskip("sympy")
-    genuine = MatrixInvariants.pi_monomial
+    genuine = MatrixInvariants.pi_coefficients
     monkeypatch.setattr(
-        MatrixInvariants, "pi_monomial",
-        lambda self, m: genuine(self, m) * 2 if m == DPMonomial.single(X)
-        else genuine(self, m))
+        MatrixInvariants, "pi_coefficients",
+        lambda self, m: {key: 2 * c for key, c in genuine(self, m).items()}
+        if m == DPMonomial.single(X) else genuine(self, m))
     for strict_z in (False, True):
         e = verify_thm_2_2_2_cell(2, (1, 0), AB, strict_z)
         assert (e.lhs_rank, e.rhs_rank, e.kernel_rank) == (1, 1, 0)
         assert e.passed == (not strict_z)
         assert (e.rhs_rank, e.kernel_rank, e.passed) == \
             dense_cell_oracle(2, (1, 0), AB, strict_z)
+
+
+X1_XYY = DPMonomial(((X, 1), (word_from_str("xyy", AB), 1)))
+YYXX = DPMonomial.single(word_from_str("yyxx", AB))
+
+
+def test_swapped_c_rows_fail_the_relation_check(monkeypatch):
+    # swapping two C rows only permutes the pi images, so every rank stays;
+    # some relation row then leaves ker(pi), and without a seed only the
+    # relation check can see it
+    genuine = MatrixInvariants.pi_coefficients
+    swap = {X1_XYY: YYXX, YYXX: X1_XYY}
+    monkeypatch.setattr(MatrixInvariants, "pi_coefficients",
+                        lambda self, m: genuine(self, swap.get(m, m)))
+    e = verify_thm_2_2_2_cell(2, (2, 2), AB)
+    assert (e.lhs_rank, e.rhs_rank, e.kernel_rank) == (6, 6, 10)
+    assert not e.passed
+
+
+def test_a_flipped_c_entry_fails_the_cell(monkeypatch):
+    # a relation row r with r[m] != 0 sends the fault -2 C[m, key] P_key
+    # to r[m] times it, which is not zero.  xx^(1) yy^(1) is the one basis
+    # monomial outside every relation row, and its faults are left out:
+    # the cell checks the theorem for whatever pairing it is given
+    genuine = MatrixInvariants.pi_coefficients
+    ctx = MatrixInvariants.get(AB, 2)
+    basis, rel = abelianized_piece(2, (2, 2))
+    related = [m for i, m in enumerate(basis) if any(r[i] for r in rel.rows)]
+    assert [m.to_str(AB) for m in basis if m not in related] == \
+        ["xx^(1) yy^(1)"]
+    for m in related:
+        for key in genuine(ctx, m):
+            def flipped(self, u, m=m, key=key):
+                row = genuine(self, u)
+                return {**row, key: -row[key]} if u is m else row
+            monkeypatch.setattr(MatrixInvariants, "pi_coefficients", flipped)
+            assert not verify_thm_2_2_2_cell(2, (2, 2), AB).passed, (m, key)
+            monkeypatch.undo()
+    assert verify_thm_2_2_2_cell(2, (2, 2), AB).passed
 
 
 def test_spot_check_evaluates_pi_images(monkeypatch):
@@ -277,6 +317,27 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
         monkeypatch.undo()
         assert all(verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s).passed
                    for s in range(300)), n
+
+
+def test_spot_check_evaluates_the_e_polynomials(monkeypatch):
+    # an e_1(x) replaced by the entry x[x][1][1] keeps every rank, and the
+    # span, the C values and the full image all read the same e_1(x), so
+    # only comparing the values at the two points can catch it.  A fresh
+    # context keeps the fake products out of the shared one
+    genuine = MatrixInvariants.e_poly
+    monkeypatch.setattr(
+        MatrixInvariants, "e_poly",
+        lambda self, w, i: self.ring.var(self.ring.x_index(0, 1, 1))
+        if (w, i) == (X, 1) else genuine(self, w, i))
+    for n in (2, 3, 4, 5):
+        fresh = MatrixInvariants(AB, n)
+        monkeypatch.setattr(MatrixInvariants, "get",
+                            staticmethod(lambda alphabet, n: fresh))
+        entries = [verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s)
+                   for s in range(8)]
+        assert {(e.lhs_rank, e.rhs_rank, e.kernel_rank)
+                for e in entries} == {(1, 1, 0)}, n
+        assert not any(e.passed for e in entries), n
 
 
 def test_thm_222_spec_rank_examples():
