@@ -35,6 +35,17 @@ exponents a and on n, so they are cached per shape.  The only polynomial
 determinants are the principal minors whose sums are those e_i
 (``principal_minor_sum``).  Cofactor expansion divides nowhere, so all of
 it holds over the integers.
+
+A context may live on the diagonal slice of one letter s, where
+x[s][i][j] = 0 for i != j.  Invariants of generic matrices, and
+GL_n-equivariant matrix polynomials, are constant on conjugacy orbits,
+and diagonalizable matrices are Zariski-dense, so such maps are fixed by
+their values on the slice (Procesi, Adv. Math. 19 (1976); Formanek, CBMS
+78 (1991)).  Restricting to it is Z-linear and injective on the invariant
+ring: ranks, kernels and Z-membership all survive, and every polynomial
+has fewer terms.  The argument needs true invariants, since a polynomial
+that is not one can vanish on the slice; a seeded 2.2.2 cell checks the
+sliced e_i against integer characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -372,13 +383,23 @@ def _amitsur_choices(a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
 
 class MatrixInvariants:
     """Caches for one (alphabet, n): word matrices, the e_i of necklaces,
-    and the products of those e_i at one multidegree."""
+    and the products of those e_i at one multidegree.
 
-    def __init__(self, alphabet: Alphabet, n: int):
+    With ``diagonal`` a letter index, the context lives on the diagonal
+    slice of that letter: its generic matrix has zeros off the diagonal,
+    and every polynomial built here is the image of the full-ring one
+    under x[diagonal][i][j] -> 0 for i != j (see the module docstring).
+    """
+
+    def __init__(self, alphabet: Alphabet, n: int,
+                 diagonal: int | None = None):
         if n < 1:
             raise ValueError("matrix order must be at least 1")
+        if diagonal is not None and not 0 <= diagonal < len(alphabet):
+            raise KeyError(f"letter index {diagonal} outside the alphabet")
         self.alphabet = alphabet
         self.n = n
+        self.diagonal = diagonal
         self.ring = PolyRing(alphabet, n)
         self._word_mats: dict[Word, MatrixPoly] = {}
         self._e: dict[tuple[Word, int], CommPoly] = {}
@@ -389,14 +410,16 @@ class MatrixInvariants:
 
     @classmethod
     @lru_cache(maxsize=8)
-    def get(cls, alphabet: Alphabet, n: int) -> "MatrixInvariants":
-        """The shared context of (alphabet, n).
+    def get(cls, alphabet: Alphabet, n: int,
+            diagonal: int | None = None) -> "MatrixInvariants":
+        """The shared context of (alphabet, n), on the diagonal slice of
+        the letter ``diagonal`` if one is given.
 
         At most eight are kept, the least recently used leaving first.  A
         rebuilt context's ring equals the old one, so polynomials of both
         still mix.
         """
-        return cls(alphabet, n)
+        return cls(alphabet, n, diagonal)
 
     def generic_matrix(self, s) -> MatrixPoly:
         """The generic matrix of the given letter (name or index)."""
@@ -415,7 +438,10 @@ class MatrixInvariants:
             m = MatrixPoly.identity(ring, n)
         elif len(w) == 1:
             self._check_letters(w)
-            m = MatrixPoly(ring, [[ring.var(ring.x_index(w[0], i, j))
+            s = w[0]
+            m = MatrixPoly(ring, [[ring.var(ring.x_index(s, i, j))
+                                   if i == j or s != self.diagonal
+                                   else CommPoly.zero(ring)
                                    for j in range(1, n + 1)]
                                   for i in range(1, n + 1)])
         else:

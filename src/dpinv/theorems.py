@@ -3,22 +3,32 @@
 Every verifier reduces its claim to exact integer linear algebra on one
 multidegree slice at a time and reports machine-checkable pass/fail
 entries.  Failures are report entries, never exceptions.
+
+The 2.2.2 cell and the Cayley-Hamilton check compute their invariants in
+a ``MatrixInvariants`` context on the diagonal slice of one letter, which
+is injective on invariants and on GL_n-equivariant matrix maps (see
+``dpinv.invariants``).  A seeded 2.2.2 cell tests the sliced e_i against
+integer characteristic polynomials at a random point of its slice.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from .backend import eliminate, poly_add_scaled
 from .exactla import ExactMatrix, reduce_row
-from .freering import Alphabet, FreePoly, Word, compositions
+from .freering import (Alphabet, FreePoly, Word, compositions,
+                       distinct_permutations)
 from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
-from .invariants import MatrixInvariants, MatrixPoly
+from .invariants import (MatrixInvariants, MatrixPoly, charpoly_coeffs,
+                         det_cofactor)
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
@@ -155,49 +165,70 @@ def _combine(pairs) -> dict:
     return acc
 
 
-def _conjugation_spot_check(inv: MatrixInvariants, basis, rows, d,
-                            seed) -> bool:
-    """Specialize the generic matrices randomly and conjugate: no pi value
-    of the basis may move.  Deterministic per (seed, inv.n, d).
+def _int_matmul(a: list, b: list) -> list:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
-    ``rows`` are the ``pi_coefficients`` of the basis.  The conjugate
-    point is made in place by one elementary move per ordered pair (i, j)
-    of distinct indices, in random order: row j += c*row i, then column
-    i -= c*column j, on every letter matrix.  That is conjugation by I +
-    c*E_ji.  At each point every e_i polynomial the rows name is evaluated
-    once, from one table of monomial values, and each pi value is the row
-    times the products of those values.  The full ``pi_monomial`` image of
-    one basis monomial, drawn after the point, must equal its row's value
-    at both points.
+
+def _mixed_minor_coefficient(mats: list, exponents, n: int) -> int:
+    """The coefficient of t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I +
+    sum_k t_k mats[k]), for integer n x n matrices and |a| <= n.
+
+    The determinant is linear in each row, so this is the sum, over the
+    row sets T with |T| = |a| and the distinct labellings of T taking each
+    k a_k times, of the minor on T whose row i comes from the matrix of
+    i's label.
+    """
+    labels = [k for k, e in enumerate(exponents) for _ in range(e)]
+    labellings = list(distinct_permutations(labels))
+    return sum(det_cofactor([[mats[k][i][j] for j in rows]
+                             for k, i in zip(labelling, rows)])
+               for rows in combinations(range(n), len(labels))
+               for labelling in labellings)
+
+
+def _slice_spot_check(inv: MatrixInvariants, basis, rows, d, seed) -> bool:
+    """Evaluate the context's polynomials at one random integer point of
+    its slice.  Deterministic per (seed, inv.n, d).
+
+    ``rows`` are the ``pi_coefficients`` of the basis.  Every e_i
+    polynomial they name must take the value of the i-th coefficient of
+    ``charpoly_coeffs`` of its necklace's integer word matrix at the
+    point, one characteristic polynomial per necklace: so the e_i are
+    invariants, on which the slice is injective.  For one basis monomial
+    drawn from the seed, its full ``pi_monomial`` image and its C row must
+    take the same value, and that must be the mixed-minor coefficient of
+    det(t_0 I + sum_k t_k M_k), M_k the integer word matrices of its
+    words, which ties C to the determinant.
+
+    The slice letter's diagonal entries are drawn from 1..7, so that at
+    n >= 2 its trace differs from each one of them; every other entry is
+    drawn from -3..3.
     """
     n = inv.n
     rng = random.Random(f"{seed}:{n}:{d}")
-    mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            for _ in inv.alphabet]
-    flat = [a for m in mats for row in m for a in row]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rng.shuffle(pairs)
-    for i, j in pairs:
-        c = rng.choice((-2, -1, 1, 2))
-        for m in mats:
-            m[j] = [a + c * b for a, b in zip(m[j], m[i])]
-            for row in m:
-                row[i] -= c * row[j]
-    flat_c = [a for m in mats for row in m for a in row]
-    pick = rng.randrange(len(basis))
-    image = inv.pi_monomial(basis[pick])
+    mats = [[[(rng.randint(1, 7) if i == j else 0) if s == inv.diagonal
+              else rng.randint(-3, 3) for j in range(n)] for i in range(n)]
+            for s in range(len(inv.alphabet))]
+
+    def word_value(w: Word) -> list:
+        return reduce(_int_matmul, map(mats.__getitem__, w))
+
+    k = rng.randrange(len(basis))
+    pick = basis[k]
+    image = inv.pi_monomial(pick)
     es = {f: inv.e_poly(*f) for row in rows for key in row for f in key}
-    keys = set(image.terms).union(*(p.terms for p in es.values()))
-    values = []
-    for point in (flat, flat_c):
-        table = inv.ring.monomial_values(keys, point)
-        at = {f: p.value_in(table) for f, p in es.items()}
-        pi = [sum(c * prod(at[f] for f in key) for key, c in row.items())
-              for row in rows]
-        if image.value_in(table) != pi[pick]:
-            return False
-        values.append(pi)
-    return values[0] == values[1]
+    char = {w: charpoly_coeffs(word_value(w)) for w in {w for w, _ in es}}
+    table = inv.ring.monomial_values(
+        set(image.terms).union(*(p.terms for p in es.values())),
+        [a for m in mats for row in m for a in row])
+    if any(p.value_in(table) != char[w][i] for (w, i), p in es.items()):
+        return False
+    value = sum(c * prod(char[w][i] for w, i in key)
+                for key, c in rows[k].items())
+    return image.value_in(table) == value == _mixed_minor_coefficient(
+        [word_value(w) for w, _ in pick.factors],
+        [e for _, e in pick.factors], n)
 
 
 def verify_thm_2_2_2(n: int, max_total_degree: int, alphabet: Alphabet,
@@ -222,8 +253,10 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     injective on the span's row space, which holds every pi image.  So
     every rank, the relations lying in ker(pi), and (under ``strict_z``)
     Z-membership can be read on J, from C times the projected products.
+    The products live on the diagonal slice of the letter of largest
+    degree in d, the first one on ties.
     """
-    inv = MatrixInvariants.get(alphabet, n)
+    inv = MatrixInvariants.get(alphabet, n, d.index(max(d)))
     basis, rel = abelianized_piece(n, d)
     rel_rank = rel.rank()
     torsion = tuple(rel.smith_normal_form()) if strict_z else None
@@ -251,7 +284,7 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
         passed = passed and all(t == 1 for t in torsion) and not any(
             rest for _, rest in reduced)
     if seed is not None:
-        if not _conjugation_spot_check(inv, basis, rows, d, seed):
+        if not _slice_spot_check(inv, basis, rows, d, seed):
             passed = False
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,
                        passed, torsion=torsion)
@@ -322,9 +355,10 @@ def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
 
     ``chi_formal`` groups the terms by their divided-power monomial, so
     each distinct monomial is paired once and scales the image of its word
-    polynomial.
+    polynomial.  The image is GL_n-equivariant, so it is computed on the
+    diagonal slice of letter 0.
     """
-    inv = MatrixInvariants.get(alphabet, n)
+    inv = MatrixInvariants.get(alphabet, n, 0)
     acc = MatrixPoly.identity(inv.ring, n, 0)
     for mono, poly in chi_formal(f, n).items():
         acc = acc + inv.jn_eval(poly) * inv.pi_monomial(mono)

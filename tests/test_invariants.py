@@ -542,3 +542,18 @@ def test_context_cache_is_bounded():
         MatrixInvariants.get.cache_info().maxsize
     rebuilt = inv(2).generic_matrix("y").entries[1][0]
     assert rebuilt == entry and (rebuilt + entry).terms == (entry * 2).terms
+
+
+def test_only_a_third_argument_puts_a_context_on_the_slice():
+    full, sliced = inv(2), MatrixInvariants.get(AB, 2, 0)
+    assert full is not sliced and full.diagonal is None
+    assert sliced is MatrixInvariants.get(AB, 2, 0)
+    assert sliced.ring == full.ring
+    x12 = full.ring.var(full.ring.x_index(0, 1, 2))
+    assert full.generic_matrix("x").entries[0][1] == x12
+    assert sliced.generic_matrix("x").entries[0][1].is_zero()
+    assert sliced.generic_matrix("y") == full.generic_matrix("y")
+    assert len(full.e_poly(X, 2).terms) == 2
+    assert len(sliced.e_poly(X, 2).terms) == 1
+    with pytest.raises(KeyError):
+        MatrixInvariants(AB, 2, 2)

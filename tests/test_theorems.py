@@ -267,50 +267,63 @@ def test_swapped_c_rows_fail_the_relation_check(monkeypatch):
     assert not e.passed
 
 
+def _record_picks(monkeypatch) -> list:
+    """The monomials ``pi_monomial`` is asked for from now on."""
+    picks = []
+    genuine = MatrixInvariants.pi_monomial
+    monkeypatch.setattr(MatrixInvariants, "pi_monomial",
+                        lambda self, m: picks.append(m) or genuine(self, m))
+    return picks
+
+
 def test_a_flipped_c_entry_fails_the_cell(monkeypatch):
     # a relation row r with r[m] != 0 sends the fault -2 C[m, key] P_key
     # to r[m] times it, which is not zero.  xx^(1) yy^(1) is the one basis
-    # monomial outside every relation row, and its faults are left out:
-    # the cell checks the theorem for whatever pairing it is given
+    # monomial outside every relation row: the cell checks the theorem for
+    # whatever pairing it is given, so only a seed whose spot check draws
+    # that monomial, and compares its C value with the determinant, can
+    # catch a flipped entry of its row
     genuine = MatrixInvariants.pi_coefficients
     ctx = MatrixInvariants.get(AB, 2)
     basis, rel = abelianized_piece(2, (2, 2))
     related = [m for i, m in enumerate(basis) if any(r[i] for r in rel.rows)]
-    assert [m.to_str(AB) for m in basis if m not in related] == \
-        ["xx^(1) yy^(1)"]
-    for m in related:
+    (free,) = [m for m in basis if m not in related]
+    assert free.to_str(AB) == "xx^(1) yy^(1)"
+    for m in related + [free]:
         for key in genuine(ctx, m):
             def flipped(self, u, m=m, key=key):
                 row = genuine(self, u)
                 return {**row, key: -row[key]} if u is m else row
             monkeypatch.setattr(MatrixInvariants, "pi_coefficients", flipped)
-            assert not verify_thm_2_2_2_cell(2, (2, 2), AB).passed, (m, key)
+            assert verify_thm_2_2_2_cell(2, (2, 2), AB).passed == \
+                (m is free), (m, key)
+            assert not verify_thm_2_2_2_cell(2, (2, 2), AB, seed=0).passed, \
+                (m, key)
             monkeypatch.undo()
-    assert verify_thm_2_2_2_cell(2, (2, 2), AB).passed
+    picks = _record_picks(monkeypatch)
+    assert verify_thm_2_2_2_cell(2, (2, 2), AB, seed=0).passed
+    assert picks == [free]
+
+
+def _faulty_image(monkeypatch, mono, image):
+    """Make ``pi_monomial`` send mono to the polynomial image(ctx)."""
+    genuine = MatrixInvariants.pi_monomial
+    monkeypatch.setattr(
+        MatrixInvariants, "pi_monomial",
+        lambda self, m: image(self) if m == mono else genuine(self, m))
 
 
 def test_spot_check_evaluates_pi_images(monkeypatch):
     # a pairing sending x^(1) to the entry x[x][1][1] instead of tr X keeps
-    # every rank, so only conjugating the pi images can catch it; the span
-    # is frozen because it is built from the same pi_monomial.  The random
-    # conjugation applies a row operation for every ordered pair of
-    # indices, so it moves that entry on every seed tried here.  The
-    # genuine pi images must stay put on many more draws: a move that is
-    # not a similarity changes tr X on some of them
-    genuine_span = MatrixInvariants.invariant_span
-    genuine = MatrixInvariants.pi_monomial
-    seeds = range(8)
+    # every rank, since the cell reads the C rows, so only the spot check,
+    # which compares the one image at d = (1, 0) with its C value, can
+    # catch it.  x is the slice letter there, and its diagonal entries are
+    # drawn positive, so tr X never equals x[x][1][1] at n >= 2
     for n in (2, 3, 4, 5):
-        inv = MatrixInvariants.get(AB, n)
-        span = genuine_span(inv, (1, 0))
-        entry = inv.ring.var(inv.ring.x_index(0, 1, 1))
-        monkeypatch.setattr(MatrixInvariants, "invariant_span",
-                            lambda self, d: span)
-        monkeypatch.setattr(
-            MatrixInvariants, "pi_monomial",
-            lambda self, m: entry if m == DPMonomial.single(X)
-            else genuine(self, m))
-        entries = [verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s) for s in seeds]
+        _faulty_image(monkeypatch, DPMonomial.single(X),
+                      lambda ctx: ctx.ring.var(ctx.ring.x_index(0, 1, 1)))
+        entries = [verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s)
+                   for s in range(8)]
         assert {(e.lhs_rank, e.rhs_rank, e.kernel_rank)
                 for e in entries} == {(1, 1, 0)}, n
         assert not any(e.passed for e in entries), n
@@ -319,25 +332,106 @@ def test_spot_check_evaluates_pi_images(monkeypatch):
                    for s in range(300)), n
 
 
-def test_spot_check_evaluates_the_e_polynomials(monkeypatch):
-    # an e_1(x) replaced by the entry x[x][1][1] keeps every rank, and the
-    # span, the C values and the full image all read the same e_1(x), so
-    # only comparing the values at the two points can catch it.  A fresh
-    # context keeps the fake products out of the shared one
-    genuine = MatrixInvariants.e_poly
-    monkeypatch.setattr(
-        MatrixInvariants, "e_poly",
-        lambda self, w, i: self.ring.var(self.ring.x_index(0, 1, 1))
-        if (w, i) == (X, 1) else genuine(self, w, i))
+@pytest.mark.parametrize("d, word, letter", [((1, 0), X, 0), ((0, 1), Y, 1)])
+def test_an_image_zero_on_the_slice_fails_the_cell(monkeypatch, d, word,
+                                                   letter):
+    # an off-diagonal entry of the slice letter is no invariant, and it is
+    # zero on the slice; the spot check's point lies on the slice, so the
+    # image reads 0 there against a positive trace
     for n in (2, 3, 4, 5):
-        fresh = MatrixInvariants(AB, n)
-        monkeypatch.setattr(MatrixInvariants, "get",
-                            staticmethod(lambda alphabet, n: fresh))
-        entries = [verify_thm_2_2_2_cell(n, (1, 0), AB, seed=s)
-                   for s in range(8)]
+        _faulty_image(monkeypatch, DPMonomial.single(word),
+                      lambda ctx: ctx.ring.var(ctx.ring.x_index(letter, 1, 2)))
+        entries = [verify_thm_2_2_2_cell(n, d, AB, seed=s) for s in range(8)]
         assert {(e.lhs_rank, e.rhs_rank, e.kernel_rank)
                 for e in entries} == {(1, 1, 0)}, n
         assert not any(e.passed for e in entries), n
+        monkeypatch.undo()
+
+
+XX = word_from_str("xx", AB)
+
+
+def test_spot_check_evaluates_the_e_polynomials(monkeypatch):
+    # a fresh context keeps the fake products out of the shared one
+    genuine = MatrixInvariants.e_poly
+    cases = [
+        # the entry x[x][1][1] in place of e_1(x): the span, the C values
+        # and the full image all read it, so the ranks stay
+        ((1, 0), (1, 1, 0), (X, 1),
+         lambda ctx: ctx.ring.var(ctx.ring.x_index(0, 1, 1))),
+        # e_1(x)^2 in place of e_2(x) is an invariant, so the slice keeps
+        # every rank, and the row of xx^(1) does not name it: on a seed
+        # that draws xx^(1), only the characteristic polynomials catch it
+        ((2, 0), (2, 2, 0), (X, 2),
+         lambda ctx: genuine(ctx, X, 1) * genuine(ctx, X, 1)),
+    ]
+    for d, ranks, key, fake in cases:
+        monkeypatch.setattr(
+            MatrixInvariants, "e_poly",
+            lambda self, w, i, key=key, fake=fake: fake(self)
+            if (w, i) == key else genuine(self, w, i))
+        picks = _record_picks(monkeypatch)
+        for n in (2, 3, 4, 5):
+            fresh = MatrixInvariants(AB, n, 0)
+            monkeypatch.setattr(
+                MatrixInvariants, "get",
+                staticmethod(lambda alphabet, n, diagonal=None: fresh))
+            entries = [verify_thm_2_2_2_cell(n, d, AB, seed=s)
+                       for s in range(8)]
+            assert {(e.lhs_rank, e.rhs_rank, e.kernel_rank)
+                    for e in entries} == {ranks}, (d, n)
+            assert not any(e.passed for e in entries), (d, n)
+        monkeypatch.undo()
+    assert DPMonomial.single(XX) in picks
+
+
+def _in_the_full_ring(monkeypatch):
+    """Make every verifier build its context in the full ring."""
+    genuine = MatrixInvariants.get
+    monkeypatch.setattr(
+        MatrixInvariants, "get",
+        staticmethod(lambda alphabet, n, diagonal=None: genuine(alphabet, n)))
+
+
+def test_sliced_cells_match_the_full_ring(monkeypatch):
+    cells = [(n, d) for n in (1, 2, 3) for d in multidegrees(2, 6)]
+
+    def run():
+        return [(e.lhs_rank, e.rhs_rank, e.kernel_rank, e.passed, e.torsion)
+                for e in (verify_thm_2_2_2_cell(n, d, AB, True, 7)
+                          for n, d in cells)]
+
+    sliced = run()
+    _in_the_full_ring(monkeypatch)
+    assert run() == sliced
+
+
+def test_sliced_cayley_hamilton_matches_the_full_ring(monkeypatch):
+    # the genuine chi_n(f), and chi_n(f) with one term doubled
+    genuine = theorems.chi_formal
+    cases = []
+    for n in (1, 2, 3):
+        for text in ["x", "y", "x*y", "x+y", "x+x*y"]:
+            f = parse_freepoly(text, AB)
+            cases.append((f, n, None))
+            cases += [(f, n, mono) for mono in genuine(f, n)]
+
+    def run():
+        verdicts = []
+        for f, n, mono in cases:
+            def chi(g, k, mono=mono):
+                out = genuine(g, k)
+                if mono is not None:
+                    out[mono] = out[mono] * 2
+                return out
+            monkeypatch.setattr(theorems, "chi_formal", chi)
+            verdicts.append(verify_cayley_hamilton(f, n, AB).passed)
+        return verdicts
+
+    sliced = run()
+    assert sliced == [mono is None for _, _, mono in cases]
+    _in_the_full_ring(monkeypatch)
+    assert run() == sliced
 
 
 def test_thm_222_spec_rank_examples():
