@@ -183,8 +183,10 @@ def eliminate(rows, track=False, smith=False):
     entry of least absolute value.  Every other live row r nonzero at the
     pivot column c becomes ``r -= (r[c] // p) * top``.  If some row keeps a
     (now smaller) entry at c, the pivot row stays live and the loop picks
-    again; else the pivot row leaves the live rows as a pivot.  Zero rows
-    and exact copies of a live row are dropped as they appear.
+    again; else the pivot row leaves the live rows as a pivot.  Rows are
+    reduced where they sit, and a row is dropped once it is zero: an exact
+    copy of a live row is no special case, it reduces to zero like any
+    other dependent row.
 
     With ``smith`` (not with ``track``), ``abs(row[col])`` over the pivots
     is the Smith form.  A non-unit pivot row that no other live row meets
@@ -202,53 +204,28 @@ def eliminate(rows, track=False, smith=False):
     by p.
     """
     live = {}      # row id -> {col: nonzero value}
-    buckets = {}   # hash of a row's items -> ids of live rows with that hash
-    hashes = {}    # row id -> its bucket
     nrows_in = defaultdict(int)  # col -> number of live rows nonzero there
     heap = []      # (length, row id) of rows that hold a +-1 entry
 
-    def has_unit(r):
-        vals = r.values()
-        return 1 in vals or -1 in vals
-
     def admit(i, r):
-        """Make r live as row i unless it is zero or a copy of a live row."""
-        if not r:
-            return False
-        h = hash(frozenset(r.items()))
-        bucket = buckets.setdefault(h, [])
-        if any(live[j] == r for j in bucket):
-            return False
-        bucket.append(i)
-        hashes[i] = h
+        """Make the nonzero row r live as row i."""
         live[i] = r
-        return True
-
-    def drop(i):
-        buckets[hashes.pop(i)].remove(i)
-        return live.pop(i)
-
-    def count_in(r, step):
         for k in r:
-            nrows_in[k] += step
-
-    def readmit(i, r):
-        """Put the changed row r back as row i, or discard it."""
-        if not admit(i, r):
-            count_in(r, -1)
-            if track:
-                del combos[i]
-            return False
-        if has_unit(r):
+            nrows_in[k] += 1
+        vals = r.values()
+        if 1 in vals or -1 in vals:
             heapq.heappush(heap, (len(r), i))
-        return True
+
+    def take(i):
+        """Take row i out of the live rows."""
+        r = live.pop(i)
+        for k in r:
+            nrows_in[k] -= 1
+        return r
 
     for i, r in enumerate(rows):
-        if admit(i, r):
-            count_in(r, 1)
-            if has_unit(r):
-                heap.append((len(r), i))
-    heapq.heapify(heap)
+        if r:
+            admit(i, r)
     combos = {i: {i: 1} for i in live} if track else None
 
     pivots = []
@@ -258,7 +235,7 @@ def eliminate(rows, track=False, smith=False):
             length, i = heapq.heappop(heap)
             top = live.get(i)
             if top is None or len(top) != length:
-                continue        # stale entry: the row was changed or dropped
+                continue        # stale entry: the row was changed or taken
             fewest = len(live) + 1
             for k, v in top.items():
                 if (v == 1 or v == -1) and nrows_in[k] < fewest:
@@ -277,7 +254,7 @@ def eliminate(rows, track=False, smith=False):
         for j in list(compress(live.keys(), in_c)):   # live rows nonzero at c
             if j == i:
                 continue
-            r = drop(j)
+            r = live[j]
             q = r[c] // p
             for k, v in top.items():
                 x = r.get(k, 0) - q * v
@@ -290,8 +267,16 @@ def eliminate(rows, track=False, smith=False):
                     nrows_in[k] -= 1
             if track:
                 poly_add_scaled(combos[j], top_combo, -q)
-            if readmit(j, r) and c in r:
+            if not r:
+                del live[j]
+                if track:
+                    del combos[j]
+                continue
+            if c in r:
                 kept = True
+            vals = r.values()
+            if 1 in vals or -1 in vals:
+                heapq.heappush(heap, (len(r), j))
         if not kept and smith and p != 1 and p != -1:
             rest = {k: v % p for k, v in top.items() if v % p}
             if not rest:
@@ -299,14 +284,13 @@ def eliminate(rows, track=False, smith=False):
                             if any(v % p for v in r.values())), {})
                 rest = {k: v % p for k, v in bad.items() if v % p}
             if rest:
-                count_in(drop(i), -1)
+                take(i)
                 rest[c] = p
-                count_in(rest, 1)
-                readmit(i, rest)
+                admit(i, rest)
                 kept = True
         if kept:
             continue
-        count_in(drop(i), -1)
+        take(i)
         pivots.append((c, top, combos.pop(i) if track else None))
     return pivots
 

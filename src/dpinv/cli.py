@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--strict-z", dest="strict_z", action="store_true",
                        help="add Smith-form torsion and lattice checks")
     p_ver.add_argument("--seed", type=int, default=None,
-                       help="seed for the randomized conjugation checks")
+                       help="seed for the spot check at a random integer "
+                            "point of the diagonal slice")
     p_ver.add_argument("--timing", action="store_true",
                        help="record wall times (breaks byte reproducibility)")
     p_ver.add_argument("--out", default=None, help="report file path")

@@ -529,7 +529,8 @@ class MatrixInvariants:
         the product of e_i over necklace representatives for every choice
         of factors.  Distinct choices can give equal products (e_1(x)
         e_1(y) == e_1(xy) at n=1), and the list keeps each one; ranking it
-        with ``backend.eliminate`` drops the copies."""
+        with ``backend.eliminate`` reduces each copy to zero like any other
+        dependent row."""
         nletters = len(self.alphabet)
         if len(d) != nletters:
             raise ValueError("multidegree length must match the alphabet")

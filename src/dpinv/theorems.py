@@ -272,7 +272,7 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     pi_j = [_combine((c, on_j[key]) for key, c in row.items())
             for row in rows]
     in_kernel = not any(_combine(zip(r, pi_j)) for r in rel.rows)
-    pi_pivots = eliminate(dict(image) for image in pi_j)
+    pi_pivots = eliminate(pi_j)
     kernel_rank = len(basis) - len(pi_pivots)
 
     passed = lhs_rank == rhs_rank and kernel_rank == rel_rank and in_kernel

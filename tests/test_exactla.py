@@ -157,6 +157,10 @@ def test_rank_and_smith_without_unit_entries():
         # fold of (0, 0, 3) in its place would give [1, 6]
         ([[0, 0, 3], [2, 3, 0]], [1, 3]),
         ([[0, 0], [0, 0]], []),
+        # the first pivot leaves (0, 2, 4) twice, then (0, 0, -4) twice:
+        # copies that are not in the input and reduce to zero
+        ([[2, 4, 6], [2, 6, 10], [0, 2, 4]], [2, 2]),
+        ([[4, 6, 0], [2, 3, 2], [2, 3, -2]], [1, 4]),
     ]
     for rows, divisors in cases:
         m = ExactMatrix(rows)
@@ -171,6 +175,9 @@ def test_smith_with_units_and_torsion_left_over():
     # a unimodular change of rows and columns keeps the divisors
     assert ExactMatrix([[2, 0, 0], [0, 6, 0], [1, 0, 1]]) \
         .smith_normal_form() == [1, 2, 6]
+    # the unit pivot in (0, 1, 2) turns both other rows into (1, 0, -1)
+    m = ExactMatrix([[1, 2, 3], [1, 3, 5], [0, 1, 2]])
+    assert m.smith_normal_form() == [1, 1] and m.rank() == 2
 
 
 def test_in_span_examples():
@@ -181,6 +188,16 @@ def test_in_span_examples():
     ok, coeffs = in_span([[2, 4], [1, 2]], [3, 6])
     assert ok
     assert coeffs[0] * 2 + coeffs[1] == 3
+    # rows that become equal during elimination, as in the Smith examples
+    for rows, target, member in [
+            ([[1, 2, 3], [1, 3, 5], [0, 1, 2]], [0, 1, 2], True),
+            ([[2, 4, 6], [2, 6, 10], [0, 2, 4]], [0, 1, 2], False),
+            ([[2, 4, 6], [2, 6, 10], [0, 2, 4]], [2, 2, 2], True),
+            ([[4, 6, 0], [2, 3, 2], [2, 3, -2]], [0, 0, 4], True)]:
+        ok, coeffs = in_span(rows, target)
+        assert ok == member, (rows, target)
+        assert not ok or [sum(c * r[j] for c, r in zip(coeffs, rows))
+                          for j in range(3)] == target
 
 
 def test_in_span_certificate_reconstructs_target():

@@ -11,7 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 from sympy import ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
@@ -23,6 +24,11 @@ from test_exactla import fraction_gauss_rank, fraction_in_span  # noqa: E402
 # entries without +-1 make every pivot a non-unit, found by repeated
 # division steps, and leave the Smith form its folds
 NO_UNITS = st.sampled_from([0, 2, -2, 3, -3, 6, -6])
+
+# after the first pivot two rows are equal: copies made by the elimination
+BECOME_COPIES = ([[1, 2, 3], [1, 3, 5], [0, 1, 2]],
+                 [[2, 4, 6], [2, 6, 10], [0, 2, 4]],
+                 [[4, 6, 0], [2, 3, 2], [2, 3, -2]])
 
 
 @st.composite
@@ -42,6 +48,9 @@ def sympy_divisors(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(matrices())
+@example(BECOME_COPIES[0])
+@example(BECOME_COPIES[1])
+@example(BECOME_COPIES[2])
 def test_eliminate_pivots_are_tracked_echelon_rows(rows):
     pivots = eliminate(map(sparse_row, rows), track=True)
     cols = [c for c, _, _ in pivots]
@@ -67,6 +76,9 @@ def test_rank_matches_fraction_gauss(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(matrices())
+@example(BECOME_COPIES[0])
+@example(BECOME_COPIES[1])
+@example(BECOME_COPIES[2])
 def test_smith_matches_sympy(rows):
     assert ExactMatrix(rows).smith_normal_form() == sympy_divisors(rows)
 
