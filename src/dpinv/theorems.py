@@ -8,7 +8,10 @@ The 2.2.2 cell and the Cayley-Hamilton check compute their invariants in
 a ``MatrixInvariants`` context on the diagonal slice of one letter, which
 is injective on invariants and on GL_n-equivariant matrix maps (see
 ``dpinv.invariants``).  A seeded 2.2.2 cell tests the sliced e_i against
-integer characteristic polynomials at a random point of its slice.
+integer characteristic polynomials at a random point of its slice.  Its
+relations are the commutator ideal of the level in its multidegree, one
+``eliminate`` of the products of the generators with the cached ideals of
+smaller multidegrees (``_commutator_ideal``).
 """
 
 from __future__ import annotations
@@ -96,60 +99,65 @@ def _left_multiples(d: tuple[int, ...], level: int | None, gens,
     return rows
 
 
-@lru_cache(maxsize=256)
-def _commutator_basis(e: tuple[int, ...], level: int | None
+@lru_cache(maxsize=1024)
+def _commutator_ideal(d: tuple[int, ...], level: int | None
                       ) -> tuple[GammaElement, ...]:
-    """An echelon Z-basis, by ``eliminate``, of the commutators [g, v] of
-    multidegree e, where g is a single-word divided power w^(k), v is any
-    basis monomial, and a pair of two such generators is taken once.
-    Cached: callers must treat the elements as read-only."""
-    comms = []
-    for du in _sub_multidegrees(e):
-        dv = tuple(x - y for x, y in zip(e, du))
-        if sum(du) == 0 or sum(dv) == 0:
-            continue
-        vs = enumerate_dp_monomials(dv, level)
-        for g in enumerate_dp_monomials(du, level):
-            if len(g.factors) != 1:
-                continue
-            gg = GammaElement.monomial(g, level)
-            key = g.sort_key()
-            for v in vs:
-                if len(v.factors) == 1 and v.sort_key() <= key:
-                    continue    # the pair (v, g) is, or will be, taken
-                gv = GammaElement.monomial(v, level)
-                comms.append((tau(gg, gv) - tau(gv, gg)).terms)
-    return tuple(GammaElement(row, level) for _, row, _ in eliminate(comms))
+    """The ``eliminate`` pivots, an echelon Z-basis, of the commutator
+    ideal I_d of the level's ring (the limit ring for None) in multidegree
+    d, built from the smaller cells:
 
+        I_d = S_d + sum_g (g I_{d-|g|} + I_{d-|g|} g).
 
-def _commutators(d: tuple[int, ...], level: int | None):
-    """Groups (e, ``_commutator_basis(e, level)``) for every e <= d with
-    |e| >= 2, by decreasing (|e|, e).
+    g runs over the single-word divided powers w^(k) of the level, and S_d
+    holds the commutators [g, h] of each unordered pair of them with
+    |g| + |h| = d.  Cached, so a run builds each cell once: callers must
+    treat the elements as read-only.
 
-    Their left multiples span, over Z, the same lattice as the left
-    multiples of every commutator [u, v] of basis monomials, which is the
-    commutator ideal in multidegree d.  Every monomial is an integer
-    tau-polynomial in the generators w^(k) (``reduce_to_single_generators``),
-    and [u1 u2, v] = u1 [u2, v] + [u1, v] u2 reduces [u, v] to left and right
-    multiples of the [g, v].  A right multiple is a left one:
-    [g, v] b = [g, v b] - v [g, b], where v b is an integer combination of
-    monomials.
+    Over Z this is all of I_d.  The commutator ideal is the two-sided
+    ideal generated by the [g, h], by Leibniz: [ab, c] = a[b, c] + [a, c]b
+    and [a, bc] = [a, b]c + b[a, c].  For this, every basis monomial must
+    be an integer tau-polynomial in the generators.
+    ``reduce_to_single_generators`` writes it so in the limit ring, and
+    ``sigma_n`` is a ring map that sends each generator to a generator of
+    the level or to 0.  So I_d is spanned over Z by the products
+    p [g, h] q, with p and q products of generators.  If p is not empty,
+    one such product is g (...) for its first generator g, and (...) lies
+    in I_{d-|g|}.  If p is empty and q is not, it is (...) g for the last
+    generator g of q.  Else it lies in S_d.  By induction on |d|, and since
+    tau is bilinear, the products by g of the pivots of the smaller cells
+    span these, and every row lies in I_d.  The argument needs both sides:
+    the left products alone gave the same lattices on every cell tried,
+    but nothing here shows that they must.
     """
-    return [(e, _commutator_basis(e, level))
-            for e in reversed(_sub_multidegrees(d)) if sum(e) >= 2]
+    gens = {f: [GammaElement.monomial(m, level)
+                for m in enumerate_dp_monomials(f, level)
+                if len(m.factors) == 1]
+            for f in _sub_multidegrees(d) if sum(f)}
+    rows = []
+    for f, group in gens.items():
+        rest = tuple(x - y for x, y in zip(d, f))
+        lower = _commutator_ideal(rest, level)
+        for i, g in enumerate(group):
+            # each unordered pair of generators once
+            pairs = (group[i + 1:] if rest == f
+                     else gens[rest] if f < rest else ())
+            rows.extend((tau(g, h) - tau(h, g)).terms for h in pairs)
+            for x in lower:
+                rows.append(tau(g, x).terms)
+                rows.append(tau(x, g).terms)
+    return tuple(GammaElement(row, level) for _, row, _ in eliminate(rows))
 
 
 def abelianized_piece(n: int | None, d: tuple[int, ...]
                       ) -> tuple[list[DPMonomial], ExactMatrix]:
     """Standard basis of the level-n slice at multidegree d (of the limit
     ring for n None) together with an echelon Z-basis of its commutator
-    relations, whose cokernel is the abelianized slice: the dense pivot
-    rows of one ``eliminate`` of the sparse left multiples."""
+    relations, whose cokernel is the abelianized slice: the pivots of
+    ``_commutator_ideal`` as dense rows over the basis."""
     basis = enumerate_dp_monomials(d, n)
     index = {m: i for i, m in enumerate(basis)}
-    pivots = eliminate(_left_multiples(d, n, _commutators(d, n), index))
-    return basis, ExactMatrix([[row.get(i, 0) for i in range(len(basis))]
-                               for _, row, _ in pivots], len(basis))
+    return basis, ExactMatrix([x.coeff_vector(index)
+                               for x in _commutator_ideal(d, n)], len(basis))
 
 
 def _on_columns(terms: dict, cols) -> dict:
@@ -408,7 +416,14 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
     monomial triple within the total-degree bound, in the limit ring.
 
     The products of two monomials, u v and v w, are read from the
-    ``tau_monomials`` cache."""
+    ``tau_monomials`` cache.  The identity law is checked on every
+    monomial and gradedness on every pair, and associativity only on the
+    triples in which none of u, v, w is the identity.  Those checks imply
+    the rest, whatever table of monomial products ``tau_monomials`` and
+    ``tau`` read.  If 1 u = u = u 1 for every monomial u in the bound, and
+    every product u v is graded, so that each of its monomials lies in
+    the bound, then bilinearity of ``tau`` gives (1 v) w = v w = 1 (v w),
+    (u 1) w = u w = u (1 w) and (u v) 1 = u v = u (v 1)."""
     nletters = len(alphabet)
     by_deg = _monomials_by_total_degree(max_total, alphabet)
     elements = {m: GammaElement.monomial(m)
@@ -428,7 +443,9 @@ def verify_tau_ring_axioms(max_total: int, alphabet: Alphabet
                     # a term outside the bound has no degree and fails
                     if any(degree.get(m) != duv for m in uv.terms):
                         ok = False
-                    for dw in range(0, max_total - du - dv + 1):
+                    if not du or not dv:
+                        continue    # a triple with the identity
+                    for dw in range(1, max_total - du - dv + 1):
                         for w in by_deg[dw]:
                             vw = tau_monomials(v, w)
                             if tau(uv, elements[w]) != tau(gu, vw):

@@ -3,8 +3,9 @@ from math import prod
 
 import pytest
 
-from dpinv import theorems
-from dpinv.exactla import ExactMatrix
+from dpinv import gamma, theorems
+from dpinv.backend import poly_add_scaled
+from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
 from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
                          tau)
@@ -174,6 +175,46 @@ def test_relation_basis_matches_the_all_pairs_oracle():
         assert rel.nrows == rel.rank() == oracle.rank(), (level, d)
         assert rel.smith_normal_form() == oracle.smith_normal_form(), \
             (level, d)
+
+
+def _echelon_columns(rows):
+    """A pivot column for each sparse row: one where the row is nonzero and
+    every later row is zero.  Fails unless the rows are in echelon form."""
+    cols, later = [], set()
+    for row in reversed(rows):
+        free = set(row) - later
+        assert free, "the rows are not in echelon form"
+        cols.append(min(free, key=DPMonomial.sort_key))
+        later |= set(row)
+    return cols[::-1]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_the_commutator_ideal_is_two_sided(level):
+    # every product a x and x a, of a pivot x of I_d with a basis monomial
+    # a of degree f (the generators among them), lies in the Z-span of the
+    # pivots of I_{d+f}, with an integer certificate
+    for nletters, bound in ((2, 5), (3, 3)):
+        for d in multidegrees(nletters, bound, min_total=2):
+            ideal = theorems._commutator_ideal(d, level)
+            for f in multidegrees(nletters, bound - sum(d), min_total=1):
+                upper = theorems._commutator_ideal(
+                    tuple(a + b for a, b in zip(d, f)), level)
+                rows = [x.terms for x in upper]
+                pivots = [(c, row, None)
+                          for c, row in zip(_echelon_columns(rows), rows)]
+                for m in enumerate_dp_monomials(f, level):
+                    a = GammaElement.monomial(m, level)
+                    for x in ideal:
+                        for t in (tau(a, x), tau(x, a)):
+                            coords, rest = reduce_row(pivots, t.terms)
+                            assert not rest, (level, d, m)
+                            assert all(type(c) is int
+                                       for c in coords.values())
+                            back = {}
+                            for j, c in coords.items():
+                                poly_add_scaled(back, rows[j], c)
+                            assert back == t.terms
 
 
 def test_thm_222_strict_z():
@@ -552,6 +593,47 @@ def test_tau_axioms_fail_on_an_ungraded_product(monkeypatch):
     monkeypatch.setattr(theorems, "tau_monomials",
                         lambda u, v: product(u, v) + stray)
     assert not verify_tau_ring_axioms(2, AB).passed
+
+
+def _patch_products(monkeypatch, change):
+    """Make ``tau`` and the verifiers read change(u, v, u v) as the product
+    of the monomials u and v."""
+    product = gamma.tau_monomials
+
+    def patched(u, v):
+        return change(u, v, product(u, v))
+
+    monkeypatch.setattr(gamma, "tau_monomials", patched)
+    monkeypatch.setattr(theorems, "tau_monomials", patched)
+
+
+def test_tau_axioms_fail_on_one_perturbed_coefficient(monkeypatch):
+    # x^(1) y^(1) keeps its degree, and the identity law holds: only
+    # associativity sees the change
+    x, y = DPMonomial.single(X), DPMonomial.single(Y)
+
+    def change(u, v, uv):
+        if (u, v) != (x, y):
+            return uv
+        terms = dict(uv.terms)
+        terms[min(terms, key=DPMonomial.sort_key)] += 1
+        return GammaElement(terms)
+
+    _patch_products(monkeypatch, change)
+    assert not verify_tau_ring_axioms(3, AB).passed
+
+
+def test_tau_axioms_fail_on_a_broken_identity_law(monkeypatch):
+    # u 1 = 2u for one monomial u of the top degree, which lies in no
+    # associativity triple without the identity
+    u = DPMonomial.single(word_from_str("xyy", AB))
+    one = DPMonomial.one()
+
+    def change(a, b, ab):
+        return ab + ab if (a, b) == (u, one) else ab
+
+    _patch_products(monkeypatch, change)
+    assert not verify_tau_ring_axioms(3, AB).passed
 
 
 def test_entry_json_schema():
