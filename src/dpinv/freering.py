@@ -2,12 +2,12 @@
 
 The session alphabet is an ordered finite set of letters; words are tuples
 of letter indices.  Necklaces and Lyndon words come straight from their
-definitions by rotation: a necklace is <= each of its rotations, a Lyndon
-word < each of its proper rotations.  These words are only as long as a
-cell's degree, so comparing every rotation is cheap.  The free ring on the
-alphabet is represented sparsely as a map from words to integer
-coefficients, the empty word carrying the constant term.  Everything here
-is an immutable value.
+definitions by rotation: a necklace is the least rotation of its word, a
+Lyndon word is < each of its proper rotations.  These words are only as
+long as a cell's degree, so comparing every rotation is cheap.  The free
+ring on the alphabet is represented sparsely as a map from words to
+integer coefficients, the empty word carrying the constant term.
+Everything here is an immutable value.
 """
 
 from __future__ import annotations
@@ -141,15 +141,6 @@ def enumerate_words(nletters: int,
                                           max_multidegree)):
                 out.append(w)
     return out
-
-
-def enumerate_necklaces(nletters: int,
-                        max_multidegree: tuple[int, ...]) -> list[Word]:
-    """The words within the bound that are <= each of their rotations, so
-    the least rotation of each cyclic class (its ``cyclic_normal_form``),
-    in graded lex order."""
-    return [w for w in enumerate_words(nletters, max_multidegree)
-            if all(w <= w[i:] + w[:i] for i in range(1, len(w)))]
 
 
 def enumerate_lyndon_words(nletters: int,

@@ -26,15 +26,15 @@ u.  Putting t_k -> -t_k, that coefficient is
 
 where w_u is the concatenation of the w_k along u, up to rotation.  So
 every image is pi(m) = sum_key C[m, key] P_key: P_key is a product of e_i
-of single necklaces, the same products that span the invariant slice, and
-C is an integer matrix found without touching a polynomial
-(``pi_coefficients``).  Its row of m sums the signs of the maps f that
-give one sorted key of (necklace, f(u)) pairs, and drops every map with
-some f(u) > n, since e_i = 0 for i > n.  The maps depend only on the
-exponents a and on n, so they are cached per shape.  The only polynomial
-determinants are the principal minors whose sums are those e_i
-(``principal_minor_sum``).  Cofactor expansion divides nowhere, so all of
-it holds over the integers.
+of single necklaces, in the Z-lattice of the Lyndon products that span the
+invariant slice (``MatrixInvariants.invariant_span``), and C is an integer
+matrix found without touching a polynomial (``pi_coefficients``).  Its row
+of m sums the signs of the maps f that give one sorted key of (necklace,
+f(u)) pairs, and drops every map with some f(u) > n, since e_i = 0 for
+i > n.  The maps depend only on the exponents a and on n, so they are
+cached per shape.  The only polynomial determinants are the principal
+minors whose sums are those e_i (``principal_minor_sum``).  Cofactor
+expansion divides nowhere, so all of it holds over the integers.
 
 A context may live on the diagonal slice of one letter s, where
 x[s][i][j] = 0 for i != j.  Invariants of generic matrices, and
@@ -57,7 +57,7 @@ from operator import add, mul, or_
 from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
                        cyclic_normal_form, enumerate_lyndon_words,
-                       enumerate_necklaces, format_signed_sum, multisets)
+                       format_signed_sum, multisets)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
@@ -525,17 +525,26 @@ class MatrixInvariants:
         return p
 
     def invariant_span(self, d: tuple[int, ...]) -> list[CommPoly]:
-        """Spanning set of the multidegree-d slice of the invariant ring:
-        the product of e_i over necklace representatives for every choice
-        of factors.  Distinct choices can give equal products (e_1(x)
-        e_1(y) == e_1(xy) at n=1), and the list keeps each one; ranking it
-        with ``backend.eliminate`` reduces each copy to zero like any other
-        dependent row."""
+        """Spanning set over Z of the multidegree-d slice of the invariant
+        ring: the product of e_i over Lyndon words for every choice of
+        factors.  Distinct choices can give equal products (e_1(x) e_1(y)
+        == e_1(xy) at n=1), and the list keeps each one; ranking it with
+        ``backend.eliminate`` reduces each copy to zero like any other
+        dependent row.
+
+        The products over every necklace span the slice over Z (Donkin,
+        Invent. Math. 110 (1992)), and these span the same lattice.  A
+        necklace is u^k for a Lyndon word u, and e_i(A^k) is the plethysm
+        e_i o p_k written in the e-basis (``symfunc.plethysm_e_p``): an
+        integer polynomial in e_1(A), ..., e_n(A), each term of weight ik,
+        with e_j = 0 for j > n.  So every necklace product, and every
+        product a ``pi_coefficients`` key names, is an integer combination
+        of Lyndon products of its multidegree."""
         nletters = len(self.alphabet)
         if len(d) != nletters:
             raise ValueError("multidegree length must match the alphabet")
         cands = [(w, i)
-                 for w in enumerate_necklaces(nletters, max_multidegree=d)
+                 for w in enumerate_lyndon_words(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
         return [self.product(d, tuple(sorted(

@@ -6,8 +6,8 @@ import pytest
 from dpinv.freering import (Alphabet, FreePoly, ParseError, Word,
                             compositions, cyclic_normal_form,
                             distinct_permutations, enumerate_lyndon_words,
-                            enumerate_necklaces, enumerate_words, multisets,
-                            parse_freepoly, word_from_str)
+                            enumerate_words, multisets, parse_freepoly,
+                            word_from_str)
 
 AB = Alphabet("xy")
 
@@ -73,21 +73,6 @@ def test_necklace_counts_match_formula():
         assert len(reps) == expected
 
 
-def test_enumerate_necklaces_counts_match_formula():
-    from collections import Counter
-
-    # necklaces of length L, one exact multidegree (a, L - a) at a time
-    by_len = Counter(len(u) for length in range(1, 9)
-                     for a in range(length + 1)
-                     for u in enumerate_necklaces(2, (a, length - a))
-                     if len(u) == length)
-    for length in range(1, 9):
-        expected = sum(euler_phi(d) * 2 ** (length // d)
-                       for d in range(1, length + 1)
-                       if length % d == 0) // length
-        assert by_len[length] == expected
-
-
 def mobius(n):
     """The Moebius function, by trial division."""
     sign, p = 1, 2
@@ -118,9 +103,9 @@ def test_enumerate_lyndon_words_counts_match_witt_formula():
 def test_enumerate_words_examples():
     names = [word.to_str(AB) for word in words_up_to(2, 2)]
     assert names == ["x", "y", "xx", "xy", "yx", "yy"]
-    necks = [n for n in enumerate_necklaces(2, (2, 2)) if len(n) <= 2]
-    assert all(type(n) is Word for n in necks)
-    assert [n.to_str(AB) for n in necks] == ["x", "y", "xx", "xy", "yy"]
+    lyndon = [u for u in enumerate_lyndon_words(2, (2, 2)) if len(u) <= 2]
+    assert all(type(u) is Word for u in lyndon)
+    assert [u.to_str(AB) for u in lyndon] == ["x", "y", "xy"]
     assert enumerate_words(2, max_multidegree=(0, 0)) == []
 
 
@@ -137,7 +122,7 @@ def test_multidegree_bound_needs_one_entry_per_letter():
         with pytest.raises(ValueError):
             enumerate_words(2, max_multidegree=bound)
         with pytest.raises(ValueError):
-            enumerate_necklaces(2, max_multidegree=bound)
+            enumerate_lyndon_words(2, max_multidegree=bound)
     assert [u.to_str(AB) for u in enumerate_words(2, max_multidegree=(1, 0))] \
         == ["x"]
 

@@ -5,11 +5,11 @@ from math import comb
 
 import pytest
 
-from dpinv.backend import poly_add_scaled
-from dpinv.exactla import ExactMatrix
+from dpinv.backend import eliminate, poly_add_scaled
+from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import (Alphabet, FreePoly, Word, cyclic_normal_form,
                             distinct_permutations, enumerate_words,
-                            parse_freepoly, word_from_str)
+                            multisets, parse_freepoly, word_from_str)
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
@@ -383,9 +383,58 @@ def test_invariant_span_examples():
     keys = sorted({k for p in span for k in p.terms})
     cols = {k: i for i, k in enumerate(keys)}
     rows = [p.coeff_vector(cols) for p in span]
-    assert len(span) == 3
+    # e_1(x)^2 and e_2(x): e_1(xx) = e_1(x)^2 - 2 e_2(x) is no Lyndon product
+    assert len(span) == 2
     assert ExactMatrix(rows, len(cols)).rank() == 2
     assert inv(2).invariant_span((0, 0)) == [CommPoly.const(inv(2).ring, 1)]
+
+
+def necklace_products(ctx, d):
+    """The product of e_i over necklaces, primitive or not, for every
+    choice of factors of multidegree d; a necklace is a word <= each of
+    its rotations."""
+    r = len(d)
+    cands = [(w, i) for w in enumerate_words(r, d)
+             if all(w <= w[k:] + w[:k] for k in range(1, len(w)))
+             for i in range(1, ctx.n + 1)]
+    degs = [tuple(i * x for x in w.multidegree(r)) for w, i in cands]
+    return [ctx.product(d, tuple(sorted(
+                cands[k] for k, e in picks for _ in range(e))))
+            for picks in multisets(degs, d)]
+
+
+def lattice_holds(rows, basis):
+    """Whether every polynomial of rows reduces to zero against the
+    ``eliminate`` pivots of basis: lies in its Z-lattice."""
+    pivots = eliminate(dict(p.terms) for p in basis)
+    return all(not reduce_row(pivots, p.terms)[1] for p in rows)
+
+
+def test_lyndon_span_has_the_necklace_lattice():
+    # e_i(u^k) is the integer polynomial e_i o p_k in the e_j(u), so
+    # dropping the non-primitive necklaces keeps the Z-lattice
+    cells = ([(AB, n, d) for n in (2, 3, 4) for d in multidegrees(2, 5)]
+             + [(Alphabet("xyz"), 3, (2, 1, 1))])
+    for alphabet, n, d in cells:
+        ctx = MatrixInvariants.get(alphabet, n)
+        span, necks = ctx.invariant_span(d), necklace_products(ctx, d)
+        assert lattice_holds(necks, span), (alphabet, n, d)
+        assert lattice_holds(span, necks), (alphabet, n, d)
+
+
+def test_a_doubled_lyndon_product_leaves_the_necklace_lattice():
+    # 2 e_2(x) keeps the rank over Q, but e_2(x) is no integer
+    # combination of e_1(x)^2 and 2 e_2(x)
+    ctx = inv(2)
+    e2 = ctx.e_poly(X, 2)
+    span = ctx.invariant_span((2, 0))
+    assert e2 in span
+    doubled = [p * 2 if p == e2 else p for p in span]
+    assert len(eliminate(dict(p.terms) for p in doubled)) == len(span)
+    necks = necklace_products(ctx, (2, 0))
+    assert len(necks) == 3  # e_1(xx) too
+    assert lattice_holds(doubled, necks)
+    assert not lattice_holds(necks, doubled)
 
 
 def random_specialization(rng, nletters, n):

@@ -400,11 +400,13 @@ def test_spot_check_evaluates_the_e_polynomials(monkeypatch):
         # and the full image all read it, so the ranks stay
         ((1, 0), (1, 1, 0), (X, 1),
          lambda ctx: ctx.ring.var(ctx.ring.x_index(0, 1, 1))),
-        # e_1(x)^2 in place of e_2(x) is an invariant, so the slice keeps
-        # every rank, and the row of xx^(1) does not name it: on a seed
-        # that draws xx^(1), only the characteristic polynomials catch it
+        # e_2(x) + e_1(x)^2 in place of e_2(x) is an invariant, so the
+        # slice keeps every rank, and the row of xx^(1) does not name it:
+        # on a seed that draws xx^(1), only the characteristic polynomials
+        # catch it
         ((2, 0), (2, 2, 0), (X, 2),
-         lambda ctx: genuine(ctx, X, 1) * genuine(ctx, X, 1)),
+         lambda ctx: genuine(ctx, X, 2)
+         + genuine(ctx, X, 1) * genuine(ctx, X, 1)),
     ]
     for d, ranks, key, fake in cases:
         monkeypatch.setattr(
