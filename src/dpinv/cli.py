@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
 
 from .freering import Alphabet, ParseError, Scanner, parse_freepoly
@@ -139,8 +140,15 @@ def run_verify(cfg: dict) -> dict:
     }
 
 
-def _report_text(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def _output(path: str | None):
+    """Stdout, or the --out file, opened before any work is done: an
+    unwritable path is an input error, not a traceback after the run."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from None
 
 
 def cmd_tau(args) -> int:
@@ -190,11 +198,10 @@ def cmd_verify(args) -> int:
         "timing": args.timing,
         "workers": args.workers if args.workers else (os.cpu_count() or 1),
     }
-    report = run_verify(cfg)
-    text = _report_text(report)
+    with _output(args.out) as fh:
+        report = run_verify(cfg)
+        fh.write(json.dumps(report, indent=2) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         for e in report["entries"]:
             d = ",".join(map(str, e["multidegree"]))
             status = "PASS" if e["pass"] else "FAIL"
@@ -203,8 +210,6 @@ def cmd_verify(args) -> int:
                   f"ker={e['kernel_rank']}")
         print(f"report: {len(report['entries'])} entries -> {args.out} "
               f"({'all pass' if report['pass'] else 'FAILURES'})")
-    else:
-        sys.stdout.write(text)
     return 0 if report["pass"] else 1
 
 
@@ -218,24 +223,21 @@ def cmd_universal(args) -> int:
         pres = load_presentation(data)
     except ValueError as err:
         raise ValueError(f"bad presentation: {err}") from None
-    gens, images = build_An(pres, args.n)
-    out = {
-        "n": args.n,
-        "generators": list(pres.alphabet.names),
-        "ideal_generators": [g.to_str() for g in gens],
-        "images": {
-            name: [[entry.to_str() for entry in row]
-                   for row in images[i].entries]
-            for i, name in enumerate(pres.alphabet.names)
-        },
-    }
-    text = json.dumps(out, indent=2) + "\n"
+    with _output(args.out) as fh:
+        gens, images = build_An(pres, args.n)
+        out = {
+            "n": args.n,
+            "generators": list(pres.alphabet.names),
+            "ideal_generators": [g.to_str() for g in gens],
+            "images": {
+                name: [[entry.to_str() for entry in row]
+                       for row in images[i].entries]
+                for i, name in enumerate(pres.alphabet.names)
+            },
+        }
+        fh.write(json.dumps(out, indent=2) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"universal ring data -> {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -10,8 +10,9 @@ is injective on invariants and on GL_n-equivariant matrix maps (see
 ``dpinv.invariants``).  A seeded 2.2.2 cell tests the sliced e_i against
 integer characteristic polynomials at a random point of its slice.  Its
 relations are the commutator ideal of the level in its multidegree, one
-``eliminate`` of the products of the generators with the cached ideals of
-smaller multidegrees (``_commutator_ideal``).
+``eliminate`` of the products of the ``_generators`` with the cached
+ideals of smaller multidegrees (``_commutator_ideal``).  The Zubkov check
+ranks the ideal of the generators of weight above n.
 """
 
 from __future__ import annotations
@@ -80,23 +81,14 @@ def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
             if all(a <= b for a, b in zip(e, d))]
 
 
-def _left_multiples(d: tuple[int, ...], level: int | None, gens,
-                    index: dict[DPMonomial, int]) -> list[dict[int, int]]:
-    """Sparse ``{basis index: int}`` rows of every nonzero left tau-multiple
-    a g in multidegree d.  ``gens`` yields groups (e, [g, ...]) of elements
-    of multidegree e <= d; a runs over the basis monomials of multidegree
-    d - e, enumerated once per group."""
-    rows: list[dict[int, int]] = []
-    for e, group in gens:
-        rest = tuple(x - y for x, y in zip(d, e))
-        multipliers = [GammaElement.monomial(a, level)
-                       for a in enumerate_dp_monomials(rest, level)]
-        for g in group:
-            for a in multipliers:
-                terms = tau(a, g).terms
-                if terms:
-                    rows.append({index[m]: c for m, c in terms.items()})
-    return rows
+def _generators(f: tuple[int, ...], level: int | None) -> list[DPMonomial]:
+    """The single-word divided powers w^(k) of multidegree f at the level
+    (of the limit ring for None), in basis order.  They generate the ring
+    over Z: ``reduce_to_single_generators`` writes every basis monomial as
+    an integer tau-polynomial in them, and ``sigma_n`` is a ring map that
+    sends each one to a generator of the level or to 0."""
+    return [m for m in enumerate_dp_monomials(f, level)
+            if len(m.factors) == 1]
 
 
 @lru_cache(maxsize=1024)
@@ -108,18 +100,16 @@ def _commutator_ideal(d: tuple[int, ...], level: int | None
 
         I_d = S_d + sum_g (g I_{d-|g|} + I_{d-|g|} g).
 
-    g runs over the single-word divided powers w^(k) of the level, and S_d
-    holds the commutators [g, h] of each unordered pair of them with
-    |g| + |h| = d.  Cached, so a run builds each cell once: callers must
-    treat the elements as read-only.
+    g runs over the ``_generators`` of the level, the single-word divided
+    powers w^(k), and S_d holds the commutators [g, h] of each unordered
+    pair of them with |g| + |h| = d.  Cached, so a run builds each cell
+    once: callers must treat the elements as read-only.
 
     Over Z this is all of I_d.  The commutator ideal is the two-sided
     ideal generated by the [g, h], by Leibniz: [ab, c] = a[b, c] + [a, c]b
     and [a, bc] = [a, b]c + b[a, c].  For this, every basis monomial must
-    be an integer tau-polynomial in the generators.
-    ``reduce_to_single_generators`` writes it so in the limit ring, and
-    ``sigma_n`` is a ring map that sends each generator to a generator of
-    the level or to 0.  So I_d is spanned over Z by the products
+    be an integer tau-polynomial in the generators, as ``_generators``
+    shows.  So I_d is spanned over Z by the products
     p [g, h] q, with p and q products of generators.  If p is not empty,
     one such product is g (...) for its first generator g, and (...) lies
     in I_{d-|g|}.  If p is empty and q is not, it is (...) g for the last
@@ -130,8 +120,7 @@ def _commutator_ideal(d: tuple[int, ...], level: int | None
     but nothing here shows that they must.
     """
     gens = {f: [GammaElement.monomial(m, level)
-                for m in enumerate_dp_monomials(f, level)
-                if len(m.factors) == 1]
+                for m in _generators(f, level)]
             for f in _sub_multidegrees(d) if sum(f)}
     rows = []
     for f, group in gens.items():
@@ -378,22 +367,23 @@ def verify_zubkov_kernel(n: int, d: tuple[int, ...], alphabet: Alphabet
                          ) -> VerifyEntry:
     """Over one letter x, at degree d = (t,) of the limit ring, the kernel
     of the level-n projection, spanned by the basis monomials of weight
-    above n, has the same rank as the ideal piece generated by the divided
-    powers (x^j)^(k), k > n.
+    above n, has the same rank as the ideal piece generated by the
+    ``_generators`` (x^j)^(k) of weight k > n: one ``eliminate`` of their
+    products with the basis monomials.
 
     ``kernel_rank`` is 0: every tau cell joins two powers of the one letter,
-    so the ring is commutative and has no commutator relations."""
+    so the ring is commutative (left multiples span the ideal) and has no
+    commutator relations."""
     if len(alphabet) != 1:
         raise ValueError(
             f"the Zubkov check runs over one letter, not {len(alphabet)}")
     (t,) = d
-    basis = enumerate_dp_monomials(d, None)
-    index = {m: i for i, m in enumerate(basis)}
-    lhs_rank = sum(1 for m in basis if m.weight > n)
-    powers = [((j * k,), [GammaElement.monomial(
-                  DPMonomial.single(Word((0,) * j), k))])
-              for j in range(1, t + 1) for k in range(n + 1, t // j + 1)]
-    rhs_rank = len(eliminate(_left_multiples(d, None, powers, index)))
+    lhs_rank = sum(1 for m in enumerate_dp_monomials(d, None) if m.weight > n)
+    rows = [tau(GammaElement.monomial(a), GammaElement.monomial(g)).terms
+            for s in range(n + 1, t + 1)
+            for g in _generators((s,), None) if g.weight > n
+            for a in enumerate_dp_monomials((t - s,), None)]
+    rhs_rank = len(eliminate(rows))
     return VerifyEntry("zubkov", n, d, lhs_rank, rhs_rank, 0,
                        lhs_rank == rhs_rank)
 

@@ -314,3 +314,54 @@ def test_universal_bad_input_is_a_clear_error(tmp_path, capsys, text, n,
     code, out, err = run(capsys, "universal", str(pres), "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def unwritable(tmp_path, kind):
+    return tmp_path / "missing" / "out.json" if kind == "missing" else tmp_path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_verify_unwritable_out_exits_two_before_any_cell(
+        tmp_path, capsys, monkeypatch, kind):
+    import dpinv.cli as cli
+
+    def no_run(cfg):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_verify", no_run)
+    path = unwritable(tmp_path, kind)
+    code, out, err = run(capsys, "verify", "--thm", "zubkov", "--n", "1",
+                         "--maxdeg", "2", "--workers", "1",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_universal_unwritable_out_exits_two_before_the_build(
+        tmp_path, capsys, monkeypatch, kind):
+    import dpinv.cli as cli
+
+    def no_build(pres, n):
+        raise AssertionError("the ring was built")
+
+    monkeypatch.setattr(cli, "build_An", no_build)
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"generators": ["x"], "relations": ["x^2"]}))
+    path = unwritable(tmp_path, kind)
+    code, out, err = run(capsys, "universal", str(pres), "--n", "1",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_universal_out_file(tmp_path, capsys):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"generators": ["x"], "relations": ["x^2"]}))
+    path = tmp_path / "ring.json"
+    code, out, _ = run(capsys, "universal", str(pres), "--n", "1",
+                       "--out", str(path))
+    assert code == 0
+    assert out == f"universal ring data -> {path}\n"
+    assert json.loads(path.read_text())["ideal_generators"] == \
+        ["x[x][1][1]^2"]

@@ -6,7 +6,8 @@ import pytest
 from dpinv import gamma, theorems
 from dpinv.backend import poly_add_scaled
 from dpinv.exactla import ExactMatrix, reduce_row
-from dpinv.freering import Alphabet, FreePoly, parse_freepoly, word_from_str
+from dpinv.freering import (Alphabet, FreePoly, Word, parse_freepoly,
+                            word_from_str)
 from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
                          tau)
 from dpinv.invariants import MatrixInvariants
@@ -519,6 +520,58 @@ def test_reduce_uses_only_single_word_leaves():
     expr = reduce_to_single_generators(m)
     assert all(len(f.factors) == 1 for key in expr for f in key)
     assert tau_evaluate(expr) == GammaElement.monomial(m)
+
+
+def brute_force_generators(f, level):
+    # every w^(k) with k |w| = |f|, k within the level and k times the
+    # multidegree of w equal to f, from all words of the length
+    nletters = len(f)
+    out = []
+    for k in range(1, sum(f) + 1):
+        if sum(f) % k or (level is not None and k > level):
+            continue
+        for letters in itertools.product(range(nletters), repeat=sum(f) // k):
+            w = Word(letters)
+            if tuple(k * x for x in w.multidegree(nletters)) == f:
+                out.append(DPMonomial.single(w, k))
+    return sorted(out, key=DPMonomial.sort_key)
+
+
+GENERATOR_CELLS = multidegrees(2, 5, min_total=1) + [(2, 1, 1)]
+
+
+@pytest.mark.parametrize("level", [None, 1, 2, 3])
+def test_generators_are_the_single_word_divided_powers(level):
+    for f in GENERATOR_CELLS:
+        assert theorems._generators(f, level) == \
+            brute_force_generators(f, level), (f, level)
+
+
+def test_the_rewrite_to_single_generators_uses_only_generators():
+    memo = {}
+    for d in GENERATOR_CELLS:
+        nletters = len(d)
+        for m in enumerate_dp_monomials(d):
+            for key in reduce_to_single_generators(m, memo):
+                for g in key:
+                    e = g.multidegree(nletters)
+                    assert g in theorems._generators(e, None), (m, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zubkov_fails_without_the_top_divided_power(monkeypatch, n):
+    # at degree n + 1 the kernel is spanned by x^(n+1) alone, and no other
+    # generator of weight above n fits
+    genuine = theorems._generators
+    top = DPMonomial.single(Word((0,)), n + 1)
+
+    def mutant(f, level):
+        return [m for m in genuine(f, level) if m != top]
+
+    assert verify_zubkov_kernel(n, (n + 1,), AB1).passed
+    monkeypatch.setattr(theorems, "_generators", mutant)
+    e = verify_zubkov_kernel(n, (n + 1,), AB1)
+    assert not e.passed and (e.lhs_rank, e.rhs_rank) == (1, 0)
 
 
 def test_verify_plethysm():
