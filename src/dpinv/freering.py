@@ -133,13 +133,13 @@ def enumerate_words(nletters: int,
     if len(max_multidegree) != nletters:
         raise ValueError(f"max_multidegree {tuple(max_multidegree)} needs "
                          f"one entry per letter, {nletters} in all")
+    # words of a lex-ordered layer, extended in letter order, stay in order
     out = []
-    for length in range(1, sum(max_multidegree) + 1):
-        for letters in itertools.product(range(nletters), repeat=length):
-            w = Word(letters)
-            if all(a <= b for a, b in zip(w.multidegree(nletters),
-                                          max_multidegree)):
-                out.append(w)
+    layer = [(Word(), tuple(max_multidegree))]
+    for _ in range(sum(max_multidegree)):
+        layer = [(w + (a,), rem[:a] + (rem[a] - 1,) + rem[a + 1:])
+                 for w, rem in layer for a in range(nletters) if rem[a] > 0]
+        out.extend(w for w, _ in layer)
     return out
 
 

@@ -500,17 +500,12 @@ class MatrixInvariants:
         return CommPoly(self.ring, acc)
 
     def e_poly(self, w: Word, i: int) -> CommPoly:
-        """e_i of the word's generic-matrix image: the sum of its principal
-        i x i minors, zero for i > n.  Cached per (necklace, i)."""
-        if i == 0:
-            return CommPoly.const(self.ring, 1)
-        key = (cyclic_normal_form(Word(w)), i)
-        res = self._e.get(key)
+        """e_i, 1 <= i <= n, of the generic-matrix image of the necklace w:
+        the sum of its principal i x i minors.  Cached per (w, i)."""
+        res = self._e.get((w, i))
         if res is None:
-            e = principal_minor_sum(self.word_matrix(key[0]).entries, i)
-            # the int 0 when i > n
-            res = self._e[key] = (e if isinstance(e, CommPoly)
-                                  else CommPoly.const(self.ring, e))
+            res = self._e[w, i] = principal_minor_sum(
+                self.word_matrix(w).entries, i)
         return res
 
     def product(self, d: tuple[int, ...], key: tuple) -> CommPoly:

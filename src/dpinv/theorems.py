@@ -250,8 +250,10 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     injective on the span's row space, which holds every pi image.  So
     every rank, the relations lying in ker(pi), and (under ``strict_z``)
     Z-membership can be read on J, from C times the projected products.
-    The products live on the diagonal slice of the letter of largest
-    degree in d, the first one on ties.
+    The relations are the sparse ``_commutator_ideal`` pivots; ``rel``
+    serves only its rank and Smith form.  The products live on the
+    diagonal slice of the letter of largest degree in d, the first one on
+    ties.
     """
     inv = MatrixInvariants.get(alphabet, n, d.index(max(d)))
     basis, rel = abelianized_piece(n, d)
@@ -268,7 +270,9 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
             for key in set().union(*rows)}
     pi_j = [_combine((c, on_j[key]) for key, c in row.items())
             for row in rows]
-    in_kernel = not any(_combine(zip(r, pi_j)) for r in rel.rows)
+    pi_of = dict(zip(basis, pi_j))
+    in_kernel = not any(_combine((c, pi_of[m]) for m, c in x.terms.items())
+                        for x in _commutator_ideal(d, n))
     pi_pivots = eliminate(pi_j)
     kernel_rank = len(basis) - len(pi_pivots)
 

@@ -109,12 +109,39 @@ def test_enumerate_words_examples():
     assert enumerate_words(2, max_multidegree=(0, 0)) == []
 
 
+def words_oracle(bound):
+    """Every letter tuple of length 1..|bound| by itertools.product, in
+    graded lex order, kept if its multidegree lies within the bound."""
+    r = len(bound)
+    return [Word(ls) for length in range(1, sum(bound) + 1)
+            for ls in itertools.product(range(r), repeat=length)
+            if all(a <= b for a, b in zip(Word(ls).multidegree(r), bound))]
+
+
+# two letters at |d| <= 7, three at |d| <= 5, and two lopsided bounds
+ORACLE_BOUNDS = ([d for t in range(8) for d in compositions(t, 2)]
+                 + [d for t in range(6) for d in compositions(t, 3)]
+                 + [(8, 0, 0), (0, 3)])
+
+
 def test_enumerate_words_multidegree_bound():
-    words = enumerate_words(2, max_multidegree=(2, 1))
-    for word in words:
-        d = word.multidegree(2)
-        assert d[0] <= 2 and d[1] <= 1
-    assert len(words) == len(set(words))
+    # the same list as the filter over all k^L letter tuples, in the same
+    # order, every entry a Word and none twice
+    for bound in ORACLE_BOUNDS:
+        words = enumerate_words(len(bound), max_multidegree=bound)
+        assert words == words_oracle(bound), bound
+        assert all(type(u) is Word for u in words), bound
+        assert len(words) == len(set(words)), bound
+
+
+def test_enumerate_lyndon_words_match_the_rotation_filter():
+    # the oracle's words that are < each of their proper rotations
+    for bound in ORACLE_BOUNDS:
+        want = [u for u in words_oracle(bound)
+                if all(u < v for v in rotations(u)[1:])]
+        got = enumerate_lyndon_words(len(bound), max_multidegree=bound)
+        assert got == want, bound
+        assert all(type(u) is Word for u in got), bound
 
 
 def test_multidegree_bound_needs_one_entry_per_letter():

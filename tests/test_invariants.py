@@ -244,10 +244,12 @@ def test_charpoly_generic_2x2():
 
 
 def test_multidet_coeff_edge_cases():
+    # e_poly takes 1 <= i <= n; the minor sums keep the edge values
     ctx = inv(2)
     zx = ctx.generic_matrix("x")
-    assert ctx.e_poly(X, 0) == CommPoly.const(ctx.ring, 1)
-    assert ctx.e_poly(X, 3).is_zero()
+    es = charpoly_coeffs(zx.entries)
+    assert principal_minor_sum(zx.entries, 0) == es[0] == 1
+    assert principal_minor_sum(zx.entries, 3) == 0 and len(es) == 3
     assert multidet_coeff(ctx, [zx], (0,)) == CommPoly.const(ctx.ring, 1)
     assert multidet_coeff(ctx, [zx], (3,)).is_zero()
     for i in (1, 2):
@@ -257,15 +259,20 @@ def test_multidet_coeff_edge_cases():
 
 def test_e_poly_matches_berkowitz_charpoly():
     # Berkowitz never sums minors, so it checks the minor sum independently;
-    # e_poly is cached per necklace, and yx is compared with Berkowitz on
-    # its own matrix, not on that of xy
+    # e_poly takes necklaces, and that of yx, xy, is compared with Berkowitz
+    # on the matrix of yx.  The edge values e_0 = 1 and e_(n+1) = 0 are
+    # read off the minor sums of the word's own matrix
     for n in (1, 2, 3, 4):
         ctx = inv(n)
         for w in (X, XX, word_from_str("xy", AB), word_from_str("yx", AB)):
-            es = berkowitz_e(ctx.word_matrix(w).entries)
-            assert ctx.e_poly(w, 0) == CommPoly.const(ctx.ring, es[0])
+            entries = ctx.word_matrix(w).entries
+            es = berkowitz_e(entries)
+            assert principal_minor_sum(entries, 0) == es[0] == 1
+            assert charpoly_coeffs(entries)[0] == es[0]
+            assert principal_minor_sum(entries, n + 1) == 0
             for i in range(1, n + 1):
-                assert ctx.e_poly(w, i) == es[i], (n, w, i)
+                assert ctx.e_poly(cyclic_normal_form(w), i) == es[i], \
+                    (n, w, i)
 
 
 def test_multidet_polarization_2x2():
