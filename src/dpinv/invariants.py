@@ -33,8 +33,9 @@ of m sums the signs of the maps f that give one sorted key of (necklace,
 f(u)) pairs, and drops every map with some f(u) > n, since e_i = 0 for
 i > n.  The maps depend only on the exponents a and on n, so they are
 cached per shape.  The only polynomial determinants are the principal
-minors whose sums are those e_i (``principal_minor_sum``).  Cofactor
-expansion divides nowhere, so all of it holds over the integers.
+minors whose sums are those e_i, the one-matrix case of the row-multilinear
+coefficient ``mixed_minor_sum``.  Cofactor expansion divides nowhere, so
+all of it holds over the integers.
 
 A context may live on the diagonal slice of one letter s, where
 x[s][i][j] = 0 for i != j.  Invariants of generic matrices, and
@@ -45,7 +46,8 @@ their values on the slice (Procesi, Adv. Math. 19 (1976); Formanek, CBMS
 ring: ranks, kernels and Z-membership all survive, and every polynomial
 has fewer terms.  The argument needs true invariants, since a polynomial
 that is not one can vanish on the slice; a seeded 2.2.2 cell checks the
-sliced e_i against integer characteristic polynomials.
+sliced e_i against the minor sums of integer word matrices at one point
+of the slice.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from operator import add, mul, or_
 
 from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
-                       cyclic_normal_form, enumerate_lyndon_words,
-                       format_signed_sum, multisets)
+                       cyclic_normal_form, distinct_permutations,
+                       enumerate_lyndon_words, format_signed_sum, multisets)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
@@ -332,35 +334,41 @@ def det_cofactor(rows):
     return acc
 
 
-def principal_minor_sum(rows, i: int):
-    """The sum of the principal i x i minors of a square array, each by
-    ``det_cofactor``; 1 for i = 0 and 0 for i > n.
+def mixed_minor_sum(mats: list, exponents, n: int):
+    """The coefficient of t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I +
+    sum_k t_k mats[k]), for n x n arrays mats[k] and exponents a.
 
-    Entries may lie in any commutative ring whose elements support +, -
-    and * among themselves.  This is e_i, the i-th elementary symmetric
-    function of the eigenvalues.
+    The determinant is linear in each row, so this is the sum, over the
+    row sets T with |T| = |a| and the distinct labellings of T taking each
+    k a_k times, of the minor on T whose row r comes from the matrix of
+    r's label, each by ``det_cofactor``.  With one matrix and a = (i,) it
+    is e_i, the sum of the principal i x i minors: 1 for i = 0 and 0 for
+    i > n.  Entries may lie in any commutative ring whose elements support
+    +, - and * among themselves.
     """
-    n = len(rows)
-    if i == 0:
-        return 1
-    if i > n:
+    labels = [k for k, e in enumerate(exponents) for _ in range(e)]
+    if len(labels) > n:
         return 0
-    return reduce(add, (det_cofactor([[rows[r][c] for c in s] for r in s])
-                        for s in combinations(range(n), i)))
+    labellings = list(distinct_permutations(labels))
+    return reduce(add, (det_cofactor([[mats[k][r][c] for c in rows]
+                                      for k, r in zip(labelling, rows)])
+                        for rows in combinations(range(n), len(labels))
+                        for labelling in labellings))
 
 
 def charpoly_coeffs(b: MatrixPoly | list) -> list:
     """Characteristic coefficients [e_0=1, e_1, ..., e_n].
 
     det(tI - b) = sum_i (-1)^i e_i t^(n-i); e_1 is the trace and e_n the
-    determinant.  Each e_i is a ``principal_minor_sum``, so the cost grows
-    like sum_i C(n, i) i!, which is fine at the orders of a desk-scale run
-    (n <= 5).  Division-free, valid over the integers.
+    determinant.  Each e_i is ``mixed_minor_sum([b], (i,), n)``, so the
+    cost grows like sum_i C(n, i) i!, which is fine at the orders of a
+    desk-scale run (n <= 6).  Division-free, valid over the integers.
     """
     rows = b.entries if isinstance(b, MatrixPoly) else b
-    if any(len(row) != len(rows) for row in rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return [principal_minor_sum(rows, i) for i in range(len(rows) + 1)]
+    return [mixed_minor_sum([rows], (i,), n) for i in range(n + 1)]
 
 
 @lru_cache(maxsize=1024)
@@ -504,8 +512,8 @@ class MatrixInvariants:
         the sum of its principal i x i minors.  Cached per (w, i)."""
         res = self._e.get((w, i))
         if res is None:
-            res = self._e[w, i] = principal_minor_sum(
-                self.word_matrix(w).entries, i)
+            res = self._e[w, i] = mixed_minor_sum(
+                [self.word_matrix(w).entries], (i,), self.n)
         return res
 
     def product(self, d: tuple[int, ...], key: tuple) -> CommPoly:

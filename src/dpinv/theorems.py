@@ -19,20 +19,17 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from .backend import eliminate, poly_add_scaled
 from .exactla import ExactMatrix, reduce_row
-from .freering import (Alphabet, FreePoly, Word, compositions,
-                       distinct_permutations)
+from .freering import Alphabet, FreePoly, Word, compositions
 from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
-from .invariants import (MatrixInvariants, MatrixPoly, charpoly_coeffs,
-                         det_cofactor)
+from .invariants import MatrixInvariants, MatrixPoly, mixed_minor_sum
 from .symfunc import plethysm_e_p, rho_a_substitute
 
 
@@ -167,36 +164,19 @@ def _int_matmul(a: list, b: list) -> list:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _mixed_minor_coefficient(mats: list, exponents, n: int) -> int:
-    """The coefficient of t_0^(n-|a|) prod_k t_k^(a_k) in det(t_0 I +
-    sum_k t_k mats[k]), for integer n x n matrices and |a| <= n.
-
-    The determinant is linear in each row, so this is the sum, over the
-    row sets T with |T| = |a| and the distinct labellings of T taking each
-    k a_k times, of the minor on T whose row i comes from the matrix of
-    i's label.
-    """
-    labels = [k for k, e in enumerate(exponents) for _ in range(e)]
-    labellings = list(distinct_permutations(labels))
-    return sum(det_cofactor([[mats[k][i][j] for j in rows]
-                             for k, i in zip(labelling, rows)])
-               for rows in combinations(range(n), len(labels))
-               for labelling in labellings)
-
-
 def _slice_spot_check(inv: MatrixInvariants, basis, rows, d, seed) -> bool:
     """Evaluate the context's polynomials at one random integer point of
     its slice.  Deterministic per (seed, inv.n, d).
 
     ``rows`` are the ``pi_coefficients`` of the basis.  Every e_i
-    polynomial they name must take the value of the i-th coefficient of
-    ``charpoly_coeffs`` of its necklace's integer word matrix at the
-    point, one characteristic polynomial per necklace: so the e_i are
-    invariants, on which the slice is injective.  For one basis monomial
-    drawn from the seed, its full ``pi_monomial`` image and its C row must
-    take the same value, and that must be the mixed-minor coefficient of
-    det(t_0 I + sum_k t_k M_k), M_k the integer word matrices of its
-    words, which ties C to the determinant.
+    polynomial they name must take the value of ``mixed_minor_sum`` of
+    its necklace's integer word matrix at the point, computed only for the
+    (necklace, i) pairs the rows name: so the e_i are invariants, on which
+    the slice is injective.  For one basis monomial drawn from the seed,
+    its full ``pi_monomial`` image and its C row must take the same value,
+    and that must be the mixed-minor coefficient of det(t_0 I + sum_k t_k
+    M_k), M_k the integer word matrices of its words, which ties C to the
+    determinant.
 
     The slice letter's diagonal entries are drawn from 1..7, so that at
     n >= 2 its trace differs from each one of them; every other entry is
@@ -215,15 +195,16 @@ def _slice_spot_check(inv: MatrixInvariants, basis, rows, d, seed) -> bool:
     pick = basis[k]
     image = inv.pi_monomial(pick)
     es = {f: inv.e_poly(*f) for row in rows for key in row for f in key}
-    char = {w: charpoly_coeffs(word_value(w)) for w in {w for w, _ in es}}
+    values = {w: word_value(w) for w, _ in es}
+    char = {(w, i): mixed_minor_sum([values[w]], (i,), n) for w, i in es}
     table = inv.ring.monomial_values(
         set(image.terms).union(*(p.terms for p in es.values())),
         [a for m in mats for row in m for a in row])
-    if any(p.value_in(table) != char[w][i] for (w, i), p in es.items()):
+    if any(p.value_in(table) != char[f] for f, p in es.items()):
         return False
-    value = sum(c * prod(char[w][i] for w, i in key)
+    value = sum(c * prod(map(char.__getitem__, key))
                 for key, c in rows[k].items())
-    return image.value_in(table) == value == _mixed_minor_coefficient(
+    return image.value_in(table) == value == mixed_minor_sum(
         [word_value(w) for w, _ in pick.factors],
         [e for _, e in pick.factors], n)
 

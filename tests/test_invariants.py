@@ -14,7 +14,7 @@ from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
                               _amitsur_choices, charpoly_coeffs,
-                              det_cofactor, principal_minor_sum)
+                              det_cofactor, mixed_minor_sum)
 from dpinv.theorems import multidegrees
 
 AB = Alphabet("xy")
@@ -101,7 +101,7 @@ def berkowitz_charpoly(a) -> list:
 
 def berkowitz_e(a) -> list:
     """[e_0, ..., e_n] of a square array by Berkowitz, which sums no minor:
-    the independent oracle of ``principal_minor_sum``."""
+    the independent oracle of ``mixed_minor_sum``."""
     return [c if i % 2 == 0 else -c
             for i, c in enumerate(berkowitz_charpoly(a))]
 
@@ -219,12 +219,14 @@ def test_charpoly_rejects_a_non_square_matrix():
     assert charpoly_coeffs([]) == [1]
 
 
-def test_principal_minor_sum_edge_cases():
+def test_mixed_minor_sum_one_matrix_edge_cases():
     m = [[2, 1, 0], [1, 3, 4], [0, 5, 6]]
-    assert principal_minor_sum(m, 0) == 1
-    assert principal_minor_sum(m, 4) == 0
-    assert [principal_minor_sum(m, i) for i in (1, 2, 3)] == \
+    assert mixed_minor_sum([m], (0,), 3) == 1
+    assert mixed_minor_sum([m], (4,), 3) == 0
+    assert [mixed_minor_sum([m], (i,), 3) for i in (1, 2, 3)] == \
         [11, (6 - 1) + 12 + (18 - 20), cofactor_int_det(m)]
+    # no matrices and a = (): the coefficient of t_0^n in det(t_0 I)
+    assert mixed_minor_sum([], (), 3) == 1
 
 
 def cofactor_int_det(m):
@@ -248,8 +250,8 @@ def test_multidet_coeff_edge_cases():
     ctx = inv(2)
     zx = ctx.generic_matrix("x")
     es = charpoly_coeffs(zx.entries)
-    assert principal_minor_sum(zx.entries, 0) == es[0] == 1
-    assert principal_minor_sum(zx.entries, 3) == 0 and len(es) == 3
+    assert mixed_minor_sum([zx.entries], (0,), 2) == es[0] == 1
+    assert mixed_minor_sum([zx.entries], (3,), 2) == 0 and len(es) == 3
     assert multidet_coeff(ctx, [zx], (0,)) == CommPoly.const(ctx.ring, 1)
     assert multidet_coeff(ctx, [zx], (3,)).is_zero()
     for i in (1, 2):
@@ -267,9 +269,9 @@ def test_e_poly_matches_berkowitz_charpoly():
         for w in (X, XX, word_from_str("xy", AB), word_from_str("yx", AB)):
             entries = ctx.word_matrix(w).entries
             es = berkowitz_e(entries)
-            assert principal_minor_sum(entries, 0) == es[0] == 1
+            assert mixed_minor_sum([entries], (0,), n) == es[0] == 1
             assert charpoly_coeffs(entries)[0] == es[0]
-            assert principal_minor_sum(entries, n + 1) == 0
+            assert mixed_minor_sum([entries], (n + 1,), n) == 0
             for i in range(1, n + 1):
                 assert ctx.e_poly(cyclic_normal_form(w), i) == es[i], \
                     (n, w, i)

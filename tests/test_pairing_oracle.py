@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from dpinv.freering import Alphabet, word_from_str  # noqa: E402
 from dpinv.gamma import DPMonomial, enumerate_dp_monomials  # noqa: E402
-from dpinv.invariants import MatrixInvariants  # noqa: E402
+from dpinv.invariants import MatrixInvariants, mixed_minor_sum  # noqa: E402
 from dpinv.theorems import multidegrees  # noqa: E402
 from test_invariants import multidet_coeff  # noqa: E402
 
@@ -79,15 +79,19 @@ def test_pi_monomial_of_a_periodic_concatenation():
 
 @pytest.mark.parametrize("exponents", [(1, 1, 1), (2, 1, 0)])
 def test_multidet_coeff_three_matrices(exponents):
-    # the mixed-minor oracle of the property tests against sympy
+    # the mixed-minor oracle of the property tests, and the library's own
+    # mixed_minor_sum, against sympy
     n = 3
     ctx = MatrixInvariants.get(AB, n)
     ring = ctx.ring
     words = [word_from_str(s, AB) for s in ("x", "y", "xy")]
-    got = multidet_coeff(ctx, [ctx.word_matrix(w) for w in words], exponents)
+    mats = [ctx.word_matrix(w) for w in words]
+    got = multidet_coeff(ctx, mats, exponents)
     want = coefficient(ring, words, exponents)
     assert want
     assert as_dict(ring, got) == want
+    mixed = mixed_minor_sum([m.entries for m in mats], exponents, n)
+    assert as_dict(ring, mixed) == want
 
 
 def test_oracle_sees_a_wrong_coefficient():
