@@ -390,8 +390,8 @@ def _amitsur_choices(a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
 
 
 class MatrixInvariants:
-    """Caches for one (alphabet, n): word matrices, the e_i of necklaces,
-    and the products of those e_i at one multidegree.
+    """Caches for one (alphabet, n): word matrices and the e_i of
+    necklaces, but no products of those e_i.
 
     With ``diagonal`` a letter index, the context lives on the diagonal
     slice of that letter: its generic matrix has zeros off the diagonal,
@@ -411,23 +411,19 @@ class MatrixInvariants:
         self.ring = PolyRing(alphabet, n)
         self._word_mats: dict[Word, MatrixPoly] = {}
         self._e: dict[tuple[Word, int], CommPoly] = {}
-        # products of e_i keyed by sorted (necklace, i) pairs, all of the
-        # multidegree _products_d; dropped when another one is asked for
-        self._products: dict[tuple, CommPoly] = {}
-        self._products_d: tuple[int, ...] | None = None
 
-    @classmethod
-    @lru_cache(maxsize=8)
-    def get(cls, alphabet: Alphabet, n: int,
+    @staticmethod
+    def get(alphabet: Alphabet, n: int,
             diagonal: int | None = None) -> "MatrixInvariants":
         """The shared context of (alphabet, n), on the diagonal slice of
         the letter ``diagonal`` if one is given.
 
-        At most eight are kept, the least recently used leaving first.  A
+        At most eight are kept, keyed by (alphabet, n, diagonal) however
+        the call is written, the least recently used leaving first.  A
         rebuilt context's ring equals the old one, so polynomials of both
         still mix.
         """
-        return cls(alphabet, n, diagonal)
+        return _shared_context(alphabet, n, diagonal)
 
     def generic_matrix(self, s) -> MatrixPoly:
         """The generic matrix of the given letter (name or index)."""
@@ -490,11 +486,9 @@ class MatrixInvariants:
     def pi_monomial(self, m: DPMonomial) -> CommPoly:
         """Image of a standard-basis monomial under the invariant pairing:
         its ``pi_coefficients`` row times the products of e_i."""
-        row = self.pi_coefficients(m)
-        d = m.multidegree(len(self.alphabet))
         acc: dict[int, int] = {}
-        for key, c in row.items():
-            poly_add_scaled(acc, self.product(d, key).terms, c)
+        for key, c in self.pi_coefficients(m).items():
+            poly_add_scaled(acc, self.product(key).terms, c)
         return CommPoly(self.ring, acc)
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:
@@ -516,24 +510,20 @@ class MatrixInvariants:
                 [self.word_matrix(w).entries], (i,), self.n)
         return res
 
-    def product(self, d: tuple[int, ...], key: tuple) -> CommPoly:
-        """prod e_i(w) over the (w, i) of key, whose multidegree is d."""
-        if d != self._products_d:
-            self._products, self._products_d = {}, d
-        p = self._products.get(key)
-        if p is None:
-            p = self._products[key] = reduce(
-                mul, (self.e_poly(w, i) for w, i in key),
-                CommPoly.const(self.ring, 1))
-        return p
+    def product(self, key: tuple) -> CommPoly:
+        """prod e_i(w) over the (w, i) of key, from the cached ``e_poly``
+        factors.  The product itself is not kept."""
+        return reduce(mul, (self.e_poly(w, i) for w, i in key),
+                      CommPoly.const(self.ring, 1))
 
-    def invariant_span(self, d: tuple[int, ...]) -> list[CommPoly]:
+    def invariant_span(self, d: tuple[int, ...]) -> dict[tuple, CommPoly]:
         """Spanning set over Z of the multidegree-d slice of the invariant
-        ring: the product of e_i over Lyndon words for every choice of
-        factors.  Distinct choices can give equal products (e_1(x) e_1(y)
-        == e_1(xy) at n=1), and the list keeps each one; ranking it with
-        ``backend.eliminate`` reduces each copy to zero like any other
-        dependent row.
+        ring, as ``{key: product(key)}``: the product of e_i over Lyndon
+        words for every choice of factors, keyed by its sorted (Lyndon
+        word, i) pairs.  Distinct choices can give equal products (e_1(x)
+        e_1(y) == e_1(xy) at n=1), and the dict keeps each one; ranking its
+        values with ``backend.eliminate`` reduces each copy to zero like
+        any other dependent row.  The products belong to the caller.
 
         The products over every necklace span the slice over Z (Donkin,
         Invent. Math. 110 (1992)), and these span the same lattice.  A
@@ -550,6 +540,9 @@ class MatrixInvariants:
                  for w in enumerate_lyndon_words(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
         degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
-        return [self.product(d, tuple(sorted(
-                    cands[k] for k, e in picks for _ in range(e))))
-                for picks in multisets(degs, d)]
+        keys = (tuple(sorted(cands[k] for k, e in picks for _ in range(e)))
+                for picks in multisets(degs, d))
+        return {key: self.product(key) for key in keys}
+
+
+_shared_context = lru_cache(maxsize=8)(MatrixInvariants)

@@ -242,12 +242,15 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     torsion = tuple(rel.smith_normal_form()) if strict_z else None
     lhs_rank = len(basis) - rel_rank
 
-    # eliminate takes over its rows: the span lives in the product cache
-    span_pivots = eliminate(dict(p.terms) for p in inv.invariant_span(d))
+    # eliminate takes over its rows, so it gets copies of the span's; a
+    # C-row key outside the span has its product built and dropped
+    span = inv.invariant_span(d)
+    span_pivots = eliminate(dict(p.terms) for p in span.values())
     rhs_rank = len(span_pivots)
     cols = [c for c, _, _ in span_pivots]
     rows = [inv.pi_coefficients(m) for m in basis]
-    on_j = {key: _on_columns(inv.product(d, key).terms, cols)
+    on_j = {key: _on_columns((span[key] if key in span
+                              else inv.product(key)).terms, cols)
             for key in set().union(*rows)}
     pi_j = [_combine((c, on_j[key]) for key, c in row.items())
             for row in rows]

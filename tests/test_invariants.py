@@ -8,13 +8,14 @@ import pytest
 from dpinv.backend import eliminate, poly_add_scaled
 from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import (Alphabet, FreePoly, Word, cyclic_normal_form,
-                            distinct_permutations, enumerate_words,
-                            multisets, parse_freepoly, word_from_str)
+                            distinct_permutations, enumerate_lyndon_words,
+                            enumerate_words, multisets, parse_freepoly,
+                            word_from_str)
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement,
                          enumerate_dp_monomials, tau)
 from dpinv.invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
-                              _amitsur_choices, charpoly_coeffs,
-                              det_cofactor, mixed_minor_sum)
+                              _amitsur_choices, _shared_context,
+                              charpoly_coeffs, det_cofactor, mixed_minor_sum)
 from dpinv.theorems import multidegrees
 
 AB = Alphabet("xy")
@@ -386,16 +387,44 @@ def test_e_homogeneity():
 
 def test_invariant_span_examples():
     # at n=1 every choice of factors gives the one monomial of the slice
-    assert {p.to_str() for p in inv(1).invariant_span((2, 1))} == \
+    assert {p.to_str() for p in inv(1).invariant_span((2, 1)).values()} == \
         {"x[x][1][1]^2*x[y][1][1]"}
-    span = inv(2).invariant_span((2, 0))
+    span = inv(2).invariant_span((2, 0)).values()
     keys = sorted({k for p in span for k in p.terms})
     cols = {k: i for i, k in enumerate(keys)}
     rows = [p.coeff_vector(cols) for p in span]
     # e_1(x)^2 and e_2(x): e_1(xx) = e_1(x)^2 - 2 e_2(x) is no Lyndon product
     assert len(span) == 2
     assert ExactMatrix(rows, len(cols)).rank() == 2
-    assert inv(2).invariant_span((0, 0)) == [CommPoly.const(inv(2).ring, 1)]
+    assert list(inv(2).invariant_span((0, 0)).values()) == \
+        [CommPoly.const(inv(2).ring, 1)]
+
+
+def test_invariant_span_is_keyed_by_its_lyndon_choices():
+    # one entry per choice of (Lyndon word, i) factors of multidegree d,
+    # keyed by the sorted factors, whose product is the value
+    cells = ([(AB, n, d) for n in (2, 3) for d in multidegrees(2, 4)]
+             + [(Alphabet("xyz"), 2, (2, 1, 1))])
+    for alphabet, n, d in cells:
+        ctx = MatrixInvariants.get(alphabet, n)
+        r = len(d)
+        cands = [(w, i) for w in enumerate_lyndon_words(r, max_multidegree=d)
+                 for i in range(1, n + 1)]
+        degs = [tuple(i * x for x in w.multidegree(r)) for w, i in cands]
+        choices = [tuple(sorted(cands[k] for k, e in picks
+                                for _ in range(e)))
+                   for picks in multisets(degs, d)]
+        span = ctx.invariant_span(d)
+        assert len(span) == len(choices), (alphabet, n, d)
+        assert set(span) == set(choices), (alphabet, n, d)
+        for key, p in span.items():
+            assert list(key) == sorted(key), (n, d, key)
+            degree, rebuilt = [0] * r, CommPoly.const(ctx.ring, 1)
+            for w, i in key:
+                assert all(w < w[k:] + w[:k] for k in range(1, len(w)))
+                degree = [a + i * x for a, x in zip(degree, w.multidegree(r))]
+                rebuilt = rebuilt * ctx.e_poly(w, i)
+            assert tuple(degree) == d and p == rebuilt, (n, d, key)
 
 
 def necklace_products(ctx, d):
@@ -407,7 +436,7 @@ def necklace_products(ctx, d):
              if all(w <= w[k:] + w[:k] for k in range(1, len(w)))
              for i in range(1, ctx.n + 1)]
     degs = [tuple(i * x for x in w.multidegree(r)) for w, i in cands]
-    return [ctx.product(d, tuple(sorted(
+    return [ctx.product(tuple(sorted(
                 cands[k] for k, e in picks for _ in range(e))))
             for picks in multisets(degs, d)]
 
@@ -426,7 +455,7 @@ def test_lyndon_span_has_the_necklace_lattice():
              + [(Alphabet("xyz"), 3, (2, 1, 1))])
     for alphabet, n, d in cells:
         ctx = MatrixInvariants.get(alphabet, n)
-        span, necks = ctx.invariant_span(d), necklace_products(ctx, d)
+        span, necks = ctx.invariant_span(d).values(), necklace_products(ctx, d)
         assert lattice_holds(necks, span), (alphabet, n, d)
         assert lattice_holds(span, necks), (alphabet, n, d)
 
@@ -436,7 +465,7 @@ def test_a_doubled_lyndon_product_leaves_the_necklace_lattice():
     # combination of e_1(x)^2 and 2 e_2(x)
     ctx = inv(2)
     e2 = ctx.e_poly(X, 2)
-    span = ctx.invariant_span((2, 0))
+    span = ctx.invariant_span((2, 0)).values()
     assert e2 in span
     doubled = [p * 2 if p == e2 else p for p in span]
     assert len(eliminate(dict(p.terms) for p in doubled)) == len(span)
@@ -457,7 +486,7 @@ def test_conjugation_invariance_randomized():
     rng = random.Random(2718)
     for n in (2, 3):
         ctx = MatrixInvariants.get(AB, n)
-        span = ctx.invariant_span((1, 1))
+        span = ctx.invariant_span((1, 1)).values()
         for _ in range(5):
             mats, flat = random_specialization(rng, 2, n)
             g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -497,7 +526,7 @@ def test_covariants_are_equivariant():
     cov = [ctx.word_matrix(u) * p
            for u in [Word()] + enumerate_words(2, max_multidegree=d)
            for p in ctx.invariant_span(tuple(
-               b - a for a, b in zip(u.multidegree(2), d)))]
+               b - a for a, b in zip(u.multidegree(2), d))).values()]
     assert len(cov) == 6
     for _ in range(4):
         mats, flat = random_specialization(rng, 2, n)
@@ -592,14 +621,24 @@ def test_rings_compare_by_letters_and_order():
 
 
 def test_context_cache_is_bounded():
-    assert MatrixInvariants.get.cache_info().maxsize is not None
+    assert _shared_context.cache_info().maxsize is not None
     entry = inv(2).generic_matrix("y").entries[1][0]
-    for n in range(1, MatrixInvariants.get.cache_info().maxsize + 2):
+    for n in range(1, _shared_context.cache_info().maxsize + 2):
         MatrixInvariants.get(Alphabet("uvw"), n)
-    assert MatrixInvariants.get.cache_info().currsize <= \
-        MatrixInvariants.get.cache_info().maxsize
+    assert _shared_context.cache_info().currsize <= \
+        _shared_context.cache_info().maxsize
     rebuilt = inv(2).generic_matrix("y").entries[1][0]
     assert rebuilt == entry and (rebuilt + entry).terms == (entry * 2).terms
+
+
+def test_every_spelling_of_get_shares_one_context():
+    spellings = [MatrixInvariants.get(AB, 2),
+                 MatrixInvariants.get(AB, 2, None),
+                 MatrixInvariants.get(AB, 2, diagonal=None),
+                 MatrixInvariants.get(AB, n=2)]
+    assert all(ctx is spellings[0] for ctx in spellings)
+    assert MatrixInvariants.get(AB, 2, diagonal=0) is \
+        MatrixInvariants.get(AB, 2, 0)
 
 
 def test_only_a_third_argument_puts_a_context_on_the_slice():

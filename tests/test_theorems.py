@@ -243,7 +243,7 @@ def dense_cell_oracle(n, d, alphabet, strict_z):
     inv = MatrixInvariants.get(alphabet, n)
     basis, rel = abelianized_piece(n, d)
     rel_rank = fraction_gauss_rank(rel.rows)
-    span = inv.invariant_span(d)
+    span = list(inv.invariant_span(d).values())
     pi_polys = [inv.pi_monomial(m) for m in basis]
     keys = sorted({k for p in pi_polys + span for k in p.terms})
     cols = {k: i for i, k in enumerate(keys)}
