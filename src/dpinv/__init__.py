@@ -13,14 +13,13 @@ from .freering import (Alphabet, FreePoly, ParseError, Word,
                        cyclic_normal_form, enumerate_lyndon_words,
                        enumerate_words, parse_freepoly, word_from_str)
 from .gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
-                    dp_expand, dp_product, enumerate_dp_monomials,
-                    format_gamma, parse_gamma, rho_n, sigma_n, tau)
+                    dp_expand, enumerate_dp_monomials, format_gamma,
+                    parse_gamma, rho_n, sigma_n, tau)
 from .invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
                          charpoly_coeffs, det_cofactor)
 from .symfunc import (Partition, SymPoly, m_to_e, partitions, plethysm_e_p,
                       rho_a_substitute)
-from .theorems import (VerifyEntry, abelianized_piece,
-                       reduce_to_single_generators, verify_cayley_hamilton,
+from .theorems import (VerifyEntry, abelianized_piece, verify_cayley_hamilton,
                        verify_thm_2_2_2, verify_zubkov_kernel)
 from .universal import (Presentation, build_An, ideal_membership,
                         ideal_piece, load_presentation)

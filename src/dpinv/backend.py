@@ -16,6 +16,11 @@ add, and ``FreePoly``, whose words concatenate.  It keeps the order of
 its operands, so a noncommutative product stays correct; the commutative
 products of ``invariants`` put the shorter operand first themselves.
 
+``combine`` is the one linear combination of sparse dicts: a fresh sum
+of c * v over (int, dict) pairs, which never returns or changes an input.
+``poly_add_scaled`` is its in-place step, kept for loops that update one
+working row.
+
 ``Terms`` is the element arithmetic over such dicts that every
 combination-of-basis-keys type shares: sums, differences, negation,
 integer scaling, powers, equality and dense coefficient rows.
@@ -75,6 +80,23 @@ def poly_add_scaled(acc, b, s):
                 acc[k] = c
             elif k in acc:
                 del acc[k]
+    return acc
+
+
+def combine(pairs):
+    """The sparse sum of c * v over the (int c, sparse dict v) pairs, as a
+    fresh dict.  Pairs with c == 0 are skipped; the first other one is
+    copied (scaled unless c == 1), and the rest are added into that copy,
+    so no input is ever returned or changed."""
+    pairs = iter(pairs)
+    for c, v in pairs:
+        if c:
+            acc = dict(v) if c == 1 else {k: c * x for k, x in v.items()}
+            break
+    else:
+        return {}
+    for c, v in pairs:
+        poly_add_scaled(acc, v, c)
     return acc
 
 

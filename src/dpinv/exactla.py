@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 
-from .backend import bareiss_rank, eliminate, poly_add_scaled, sparse_row
+from .backend import (bareiss_rank, combine, eliminate, poly_add_scaled,
+                      sparse_row)
 
 
 class ExactMatrix:
@@ -101,7 +102,5 @@ def in_span(rows, target) -> tuple[bool, list | None]:
     coords, rest = reduce_row(pivots, sparse_row(target))
     if rest:
         return False, None
-    combo = {}
-    for j, a in coords.items():
-        poly_add_scaled(combo, pivots[j][2], a)
+    combo = combine((a, pivots[j][2]) for j, a in coords.items())
     return True, [combo.get(i, 0) for i in range(len(rows))]

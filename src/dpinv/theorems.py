@@ -23,7 +23,7 @@ from math import prod
 from operator import mul
 from typing import NamedTuple
 
-from .backend import eliminate, poly_add_scaled
+from .backend import combine, eliminate
 from .exactla import ExactMatrix, reduce_row
 from .freering import Alphabet, FreePoly, Word, compositions
 from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
@@ -81,9 +81,11 @@ def _sub_multidegrees(d: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _generators(f: tuple[int, ...], level: int | None) -> list[DPMonomial]:
     """The single-word divided powers w^(k) of multidegree f at the level
     (of the limit ring for None), in basis order.  They generate the ring
-    over Z: ``reduce_to_single_generators`` writes every basis monomial as
-    an integer tau-polynomial in them, and ``sigma_n`` is a ring map that
-    sends each one to a generator of the level or to 0."""
+    over Z: every basis monomial is an integer tau-polynomial in them (the
+    rewrite in ``tests/test_theorems.py`` splits off the first factor and
+    recurses on the correction terms, all of smaller weight), and
+    ``sigma_n`` is a ring map that sends each one to a generator of the
+    level or to 0."""
     return [m for m in enumerate_dp_monomials(f, level)
             if len(m.factors) == 1]
 
@@ -149,14 +151,6 @@ def abelianized_piece(n: int | None, d: tuple[int, ...]
 def _on_columns(terms: dict, cols) -> dict:
     """The entries of a sparse row in the given columns."""
     return {c: terms[c] for c in cols if c in terms}
-
-
-def _combine(pairs) -> dict:
-    """The sparse sum of c * v over the (int c, sparse row v) pairs."""
-    acc: dict = {}
-    for c, v in pairs:
-        poly_add_scaled(acc, v, c)
-    return acc
 
 
 def _int_matmul(a: list, b: list) -> list:
@@ -252,10 +246,10 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
     on_j = {key: _on_columns((span[key] if key in span
                               else inv.product(key)).terms, cols)
             for key in set().union(*rows)}
-    pi_j = [_combine((c, on_j[key]) for key, c in row.items())
+    pi_j = [combine((c, on_j[key]) for key, c in row.items())
             for row in rows]
     pi_of = dict(zip(basis, pi_j))
-    in_kernel = not any(_combine((c, pi_of[m]) for m, c in x.terms.items())
+    in_kernel = not any(combine((c, pi_of[m]) for m, c in x.terms.items())
                         for x in _commutator_ideal(d, n))
     pi_pivots = eliminate(pi_j)
     kernel_rank = len(basis) - len(pi_pivots)
@@ -273,48 +267,6 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
             passed = False
     return VerifyEntry("2.2.2", n, d, lhs_rank, rhs_rank, kernel_rank,
                        passed, torsion=torsion)
-
-
-def reduce_to_single_generators(m: DPMonomial, _memo: dict | None = None
-                                ) -> dict[tuple[DPMonomial, ...], int]:
-    """Rewrite a monomial as a tau-polynomial in single-word divided powers.
-
-    Each key is a sequence of single-word divided powers, multiplied left
-    to right by tau, and maps to its coefficient; ``()`` is the identity.
-    Splitting off the first factor, the tau product with the remainder
-    reproduces the monomial plus correction terms of strictly smaller
-    weight (those with at least one interior concatenation cell), which
-    are reduced recursively.  The dicts are memoized per call tree and
-    shared, so they are read-only.
-    """
-    if _memo is None:
-        _memo = {}
-    if m in _memo:
-        return _memo[m]
-    if len(m.factors) <= 1:
-        expr = {(m,) if m.factors else (): 1}
-    else:
-        first = DPMonomial.single(*m.factors[0])
-        rest = DPMonomial(m.factors[1:])
-        expr = {(first,) + key: c for key, c in
-                reduce_to_single_generators(rest, _memo).items()}
-        for mono, c in tau_monomials(first, rest).terms.items():
-            if mono != m:
-                poly_add_scaled(expr, reduce_to_single_generators(mono, _memo),
-                                -c)
-    _memo[m] = expr
-    return expr
-
-
-def tau_evaluate(expr: dict[tuple[DPMonomial, ...], int]) -> GammaElement:
-    """Multiply a rewrite of ``reduce_to_single_generators`` out in the
-    limit ring."""
-    acc: dict[DPMonomial, int] = {}
-    for factors, c in expr.items():
-        product = reduce(tau, map(GammaElement.monomial, factors),
-                         GammaElement.one(None))
-        poly_add_scaled(acc, product.terms, c)
-    return GammaElement(acc)
 
 
 def _scaled_multidegree(f: FreePoly, k: int, alphabet: Alphabet

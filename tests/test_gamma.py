@@ -1,15 +1,17 @@
 import copy
 import gc
 import itertools
+import math
 import pickle
 
 import pytest
 
 from dpinv import gamma
 from dpinv.freering import Alphabet, FreePoly, Word, word_from_str
+from dpinv.backend import poly_add_scaled
 from dpinv.gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
-                         dp_expand, dp_mul, dp_product, enumerate_dp_monomials,
-                         format_gamma, parse_gamma, rho_n, sigma_n, tau)
+                         dp_expand, enumerate_dp_monomials, format_gamma,
+                         parse_gamma, rho_n, sigma_n, tau)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -24,6 +26,47 @@ def mono(*pairs):
 
 def gel(terms, level=None):
     return GammaElement(terms, level)
+
+
+def merge_factors(pairs):
+    """Collect repeated words into one divided power.
+
+    Merging w^(a) with w^(b) costs a binomial factor C(a+b, a); iterating
+    gives the multinomial coefficient for each word.  An oracle for the
+    merge that ``tau_monomials`` does in its slot table.
+    """
+    coeff = 1
+    exps = {}
+    for w, e in pairs:
+        if e == 0:
+            continue
+        old = exps.get(w, 0)
+        if old:
+            coeff *= math.comb(old + e, e)
+        exps[w] = old + e
+    return coeff, DPMonomial(exps.items())
+
+
+def dp_product(u, v, level=None):
+    """Commutative divided-power product of two basis monomials.
+
+    Shared words contribute binomial factors; in a truncated context a
+    result of weight above the level is zero.
+    """
+    coeff, mono = merge_factors(list(u.factors) + list(v.factors))
+    if level is not None and mono.weight > level:
+        return GammaElement.zero(level)
+    return GammaElement.monomial(mono, level, coeff)
+
+
+def dp_mul(g, h):
+    """Bilinear extension of dp_product."""
+    g._coerce(h)
+    acc = {}
+    for mu, cu in g.terms.items():
+        for mv, cv in h.terms.items():
+            poly_add_scaled(acc, dp_product(mu, mv, g.level).terms, cu * cv)
+    return g._like(acc)
 
 
 def test_dp_product_relation_v():
@@ -151,8 +194,6 @@ def full_margin_tau_oracle(u, v, n):
     basis monomial with no truncation step at all: the identity-identity
     cell absorbs exactly the weight that the truncated product drops.
     """
-    from dpinv.gamma import merge_factors
-
     if u.weight > n or v.weight > n:
         raise ValueError("operands must live at level n")
     rows = [(Word(), n - u.weight)] + list(u.factors)

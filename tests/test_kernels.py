@@ -1,8 +1,9 @@
 """The packed-key kernels against plain references on exponent tuples."""
 
+import copy
 import random
 
-from dpinv.backend import bareiss_rank, poly_add_scaled, poly_mul
+from dpinv.backend import bareiss_rank, combine, poly_add_scaled, poly_mul
 
 WIDTH, NVARS = 16, 3
 
@@ -86,6 +87,36 @@ def test_poly_add_scaled_matches_reference():
         s = rng.randint(-4, 4)
         expected = reference_add_scaled(unpacked(acc), unpacked(b), s)
         assert unpacked(poly_add_scaled(acc, b, s)) == expected
+
+
+def test_combine_matches_reference():
+    rng = random.Random(34)
+    assert combine([]) == {}
+    # a single term is copied, never handed back
+    v = {1: 2, 1 << 16: -3}
+    for c in (1, 2, -1):
+        out = combine([(0, {5: 1}), (c, v)])
+        assert out == {k: c * x for k, x in v.items()} and out is not v
+        out.clear()
+        assert v == {1: 2, 1 << 16: -3}
+    for _ in range(300):
+        pairs = [(rng.choice([0, 1, 1, -1, rng.randint(-4, 4)]),
+                  random_poly(rng, rng.randint(0, 8)))
+                 for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            # a sum that cancels to {}
+            c, v = rng.choice(pairs)
+            pairs.append((-c, v))
+        before = copy.deepcopy(pairs)
+        expected = {}
+        for c, v in pairs:
+            expected = reference_add_scaled(expected, unpacked(v), c)
+        out = combine(iter(pairs))
+        assert unpacked(out) == expected
+        assert pairs == before, "an input was changed"
+        assert all(out is not v for _, v in pairs)
+        out[-1] = 5
+        assert pairs == before, "the result shares an input"
 
 
 def test_bareiss_rank_big_integers():

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 from math import prod
 
 import pytest
@@ -9,11 +10,10 @@ from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import (Alphabet, FreePoly, Word, parse_freepoly,
                             word_from_str)
 from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
-                         tau)
+                         tau, tau_monomials)
 from dpinv.invariants import MatrixInvariants
 from dpinv.theorems import (_sub_multidegrees,
                             abelianized_piece, multidegrees,
-                            reduce_to_single_generators, tau_evaluate,
                             verify_cayley_hamilton, verify_plethysm_cell,
                             verify_sigma_homomorphism,
                             verify_tau_ring_axioms, verify_thm_2_2_2,
@@ -483,6 +483,48 @@ def test_thm_222_spec_rank_examples():
     assert (e.lhs_rank, e.rhs_rank) == (2, 2)
     e = verify_thm_2_2_2_cell(2, (1, 1), AB)
     assert e.lhs_rank == e.rhs_rank == 2
+
+
+def reduce_to_single_generators(m, _memo=None):
+    """Rewrite a monomial as a tau-polynomial in single-word divided powers:
+    the evidence that ``theorems._generators`` generate the ring over Z.
+
+    Each key is a sequence of single-word divided powers, multiplied left
+    to right by tau, and maps to its coefficient; ``()`` is the identity.
+    Splitting off the first factor, the tau product with the remainder
+    reproduces the monomial plus correction terms of strictly smaller
+    weight (those with at least one interior concatenation cell), which
+    are reduced recursively.  The dicts are memoized per call tree and
+    shared, so they are read-only.
+    """
+    if _memo is None:
+        _memo = {}
+    if m in _memo:
+        return _memo[m]
+    if len(m.factors) <= 1:
+        expr = {(m,) if m.factors else (): 1}
+    else:
+        first = DPMonomial.single(*m.factors[0])
+        rest = DPMonomial(m.factors[1:])
+        expr = {(first,) + key: c for key, c in
+                reduce_to_single_generators(rest, _memo).items()}
+        for mono, c in tau_monomials(first, rest).terms.items():
+            if mono != m:
+                poly_add_scaled(expr, reduce_to_single_generators(mono, _memo),
+                                -c)
+    _memo[m] = expr
+    return expr
+
+
+def tau_evaluate(expr):
+    """Multiply a rewrite of ``reduce_to_single_generators`` out in the
+    limit ring."""
+    acc = {}
+    for factors, c in expr.items():
+        product = reduce(tau, map(GammaElement.monomial, factors),
+                         GammaElement.one(None))
+        poly_add_scaled(acc, product.terms, c)
+    return GammaElement(acc)
 
 
 def test_reduce_single_generator_cases():
