@@ -1,13 +1,14 @@
 """Words, necklaces and noncommutative integer polynomials.
 
-The session alphabet is an ordered finite set of letters; words are tuples
-of letter indices.  Necklaces and Lyndon words come straight from their
-definitions by rotation: a necklace is the least rotation of its word, a
-Lyndon word is < each of its proper rotations.  These words are only as
-long as a cell's degree, so comparing every rotation is cheap.  The free
-ring on the alphabet is represented sparsely as a map from words to
-integer coefficients, the empty word carrying the constant term.
-Everything here is an immutable value.
+The session alphabet is an ordered finite set of letters; a word is a plain
+tuple of letter indices, ordered graded-lex by ``graded_key``.  Necklaces
+and Lyndon words come straight from their definitions by rotation: a
+necklace is the least rotation of its word, a Lyndon word is < each of its
+proper rotations.  These words are only as long as a cell's degree, so
+comparing every rotation is cheap.  The free ring on the alphabet is
+represented sparsely as a map from words to integer coefficients, the
+empty word carrying the constant term.  Everything here is an immutable
+value.
 """
 
 from __future__ import annotations
@@ -84,43 +85,32 @@ class Alphabet:
         return f"Alphabet({''.join(self.names)!r})"
 
 
-class Word(tuple):
-    """A word in the free monoid, stored as a tuple of letter indices.
+Word = tuple  # a word is a plain tuple of letter indices
 
-    Words compare as tuples; the graded-lex order used throughout the
-    package is ``(len(w), w)``.
-    """
 
-    __slots__ = ()
+def multidegree(w: Word, nletters: int) -> tuple[int, ...]:
+    """How often each of the nletters letters occurs in w."""
+    d = [0] * nletters
+    for a in w:
+        d[a] += 1
+    return tuple(d)
 
-    def __add__(self, other) -> "Word":  # concatenation
-        return Word(tuple.__add__(self, other))
 
-    def multidegree(self, nletters: int) -> tuple[int, ...]:
-        d = [0] * nletters
-        for a in self:
-            d[a] += 1
-        return tuple(d)
-
-    def graded_key(self) -> tuple:
-        return (len(self), tuple(self))
-
-    def to_str(self, alphabet: Alphabet) -> str:
-        return "".join(alphabet[a] for a in self)
-
-    def __repr__(self) -> str:
-        return f"Word({tuple(self)})"
+def graded_key(w: Word) -> tuple:
+    """The graded-lex order of words, used throughout the package: shorter
+    words first, words of one length as tuples."""
+    return (len(w), w)
 
 
 def word_from_str(text: str, alphabet: Alphabet) -> Word:
-    return Word(alphabet.index(c) for c in text)
+    return tuple(alphabet.index(c) for c in text)
 
 
 def cyclic_normal_form(w: Word) -> Word:
     """Lexicographically least rotation of a nonempty word."""
     if len(w) == 0:
         raise ValueError("the empty word has no cyclic class")
-    return Word(min(w[i:] + w[:i] for i in range(len(w))))
+    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def enumerate_words(nletters: int,
@@ -135,7 +125,7 @@ def enumerate_words(nletters: int,
                          f"one entry per letter, {nletters} in all")
     # words of a lex-ordered layer, extended in letter order, stay in order
     out = []
-    layer = [(Word(), tuple(max_multidegree))]
+    layer = [((), tuple(max_multidegree))]
     for _ in range(sum(max_multidegree)):
         layer = [(w + (a,), rem[:a] + (rem[a] - 1,) + rem[a + 1:])
                  for w, rem in layer for a in range(nletters) if rem[a] > 0]
@@ -229,20 +219,20 @@ def multisets(degs: list[tuple[int, ...]], d: tuple[int, ...],
 class FreePoly(Terms):
     """Sparse noncommutative polynomial with integer coefficients.
 
-    ``terms`` maps Word -> nonzero int; the empty word holds the constant
-    term, so elements of the augmentation ideal are exactly those without
-    an empty-word key.
+    ``terms`` maps words, plain tuples of letter indices, to nonzero ints;
+    the empty word ``()`` holds the constant term, so elements of the
+    augmentation ideal are exactly those without an empty-word key.
     """
 
     __slots__ = ()
-    _ONE = Word()
+    _ONE = ()
 
     def __init__(self, terms: dict[Word, int] | None = None):
         clean: dict[Word, int] = {}
         if terms:
             for w, c in terms.items():
                 if c:
-                    clean[Word(w)] = c
+                    clean[tuple(w)] = c
         self.terms = clean
 
     def _like(self, terms: dict[Word, int]) -> "FreePoly":
@@ -256,11 +246,11 @@ class FreePoly(Terms):
 
     @classmethod
     def one(cls) -> "FreePoly":
-        return cls({Word(): 1})
+        return cls({(): 1})
 
     @classmethod
     def letter(cls, i: int) -> "FreePoly":
-        return cls({Word((i,)): 1})
+        return cls({(i,): 1})
 
     @classmethod
     def from_word(cls, w: Word, c: int = 1) -> "FreePoly":
@@ -268,10 +258,10 @@ class FreePoly(Terms):
 
     @property
     def constant_term(self) -> int:
-        return self.terms.get(Word(), 0)
+        return self.terms.get((), 0)
 
     def words(self) -> list[Word]:
-        return sorted(self.terms, key=Word.graded_key)
+        return sorted(self.terms, key=graded_key)
 
     def __mul__(self, other) -> "FreePoly":
         if not isinstance(other, FreePoly):
@@ -313,7 +303,8 @@ class Scanner:
 
     ``pos`` is the offset of the next unread character.  Every error is a
     ``ParseError`` at an offset into the text as given, and integers are
-    runs of the ASCII digits ``0-9``.
+    runs of the ASCII digits ``0-9``; a run too long for ``int`` to read
+    is an error at its first digit.
     """
 
     __slots__ = ("text", "pos")
@@ -358,7 +349,11 @@ class Scanner:
         digits = self.run("0123456789")
         if not digits and required:
             raise self.error("expected an integer")
-        return int(digits) if digits else None
+        try:
+            return int(digits) if digits else None
+        except ValueError:  # past the interpreter's int-string limit
+            raise ParseError(f"integer of {len(digits)} digits is too long",
+                             self.pos - len(digits), self.text) from None
 
     def end(self) -> None:
         """Fail unless only whitespace is left."""
@@ -402,9 +397,9 @@ def _factor(sc: Scanner, alphabet: Alphabet) -> FreePoly:
             if exp >= EXPONENT_BOUND:
                 raise ParseError(f"exponent {exp} is not below the packing's "
                                  f"bound {EXPONENT_BOUND}", at, sc.text)
-        return FreePoly.from_word(Word((alphabet.index(ch),) * exp))
+        return FreePoly.from_word((alphabet.index(ch),) * exp)
     c = sc.integer(required=False)
     if c is None:
         sc.end()
         raise sc.error("unexpected end of input")
-    return FreePoly({Word(): c})
+    return FreePoly({(): c})

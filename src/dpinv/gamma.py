@@ -13,7 +13,7 @@ identity-identity cell forced to zero.  Interior cells concatenate words.
 
 ``tau_monomials`` enumerates those matrices over a slot table built once
 per product: the row words, the column words and their concatenations,
-deduplicated and sorted by ``(len, word)``, which is the factor order of a
+deduplicated and sorted by ``graded_key``, which is the factor order of a
 ``DPMonomial``, with one exponent per slot.  The interior cells are filled
 in place in row-major order against running column remainders; a row's
 slack goes to its word's slot when the row is complete, and the column
@@ -45,8 +45,8 @@ from typing import Iterable
 
 from .backend import Terms, poly_add_scaled
 from .freering import (Alphabet, FreePoly, Scanner, Word, compositions,
-                       enumerate_words, format_signed_sum, multisets,
-                       word_from_str)
+                       enumerate_words, format_signed_sum, graded_key,
+                       multidegree, multisets, word_from_str)
 
 
 class ContextError(ValueError):
@@ -73,7 +73,7 @@ class DPMonomial:
         fs = []
         seen = set()
         for w, e in factors:
-            w = Word(map(index, w))
+            w = tuple(map(index, w))
             e = index(e)
             if len(w) == 0:
                 raise ValueError("divided powers of the empty word are not stored")
@@ -83,7 +83,7 @@ class DPMonomial:
                 raise ValueError("duplicate word in factor list")
             seen.add(w)
             fs.append((w, e))
-        fs.sort(key=lambda p: (len(p[0]), tuple(p[0])))
+        fs.sort(key=lambda p: graded_key(p[0]))
         return cls._trusted(tuple(fs))
 
     @classmethod
@@ -119,10 +119,12 @@ class DPMonomial:
         return tuple(d)
 
     def sort_key(self) -> tuple:
-        return tuple((len(w), tuple(w), e) for w, e in self.factors)
+        # graded_key(w) + (e,) inline: a call per factor slows sorts ~40%
+        return tuple((len(w), w, e) for w, e in self.factors)
 
     def to_str(self, alphabet: Alphabet) -> str:
-        return " ".join(f"{w.to_str(alphabet)}^({e})" for w, e in self.factors)
+        return " ".join("".join(alphabet[a] for a in w) + f"^({e})"
+                        for w, e in self.factors)
 
     def __repr__(self) -> str:
         return f"DPMonomial({self.factors!r})"
@@ -212,7 +214,7 @@ def tau_monomials(u: DPMonomial, v: DPMonomial) -> GammaElement:
     cats = [[wu + wv for wv, _ in cols] for wu, _ in rows]
     distinct = sorted({w for w, _ in rows} | {w for w, _ in cols}
                       | {w for row in cats for w in row},
-                      key=lambda w: (len(w), w))
+                      key=graded_key)
     slot = {w: k for k, w in enumerate(distinct)}
     row_slot = [slot[w] for w, _ in rows]
     col_slot = [slot[w] for w, _ in cols]
@@ -381,7 +383,7 @@ def _dp_monomial_slice(d: tuple[int, ...],
     nletters = len(d)
     # graded-lex words and picks on increasing k: factors already in order
     words = enumerate_words(nletters, max_multidegree=d)
-    degs = [w.multidegree(nletters) for w in words]
+    degs = [multidegree(w, nletters) for w in words]
     out = [DPMonomial._trusted(tuple((words[k], e) for k, e in picks))
            for picks in multisets(degs, d, max_weight)]
     out.sort(key=DPMonomial.sort_key)
@@ -424,7 +426,7 @@ def _bracket(sc: Scanner, alphabet: Alphabet
     sc.expect("[")
     factors = []
     while not sc.take("|"):
-        letters = sc.run(alphabet._index)
+        letters = sc.run(alphabet.names)
         if not letters:
             raise sc.error("expected a word")
         sc.expect("^")

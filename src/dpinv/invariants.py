@@ -59,7 +59,8 @@ from operator import add, mul, or_
 from .backend import EXPONENT_BOUND, Terms, combine, poly_mul
 from .freering import (Alphabet, FreePoly, Word, compositions,
                        cyclic_normal_form, distinct_permutations,
-                       enumerate_lyndon_words, format_signed_sum, multisets)
+                       enumerate_lyndon_words, format_signed_sum,
+                       multidegree, multisets)
 from .gamma import ContextError, DPMonomial, GammaElement
 
 _WIDTH = EXPONENT_BOUND.bit_length()  # the bound is each field's guard bit
@@ -379,7 +380,7 @@ def _amitsur_choices(a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
     lyndon = enumerate_lyndon_words(r, max_multidegree=a)
     choices = []
     # the multiplicity of Lyndon word k in a multiset is f(u_k)
-    for f in multisets([u.multidegree(r) for u in lyndon], a):
+    for f in multisets([multidegree(u, r) for u in lyndon], a):
         if all(i <= n for _, i in f):
             odd = sum(i * (len(lyndon[k]) + 1) for k, i in f) % 2
             choices.append((f, -1 if odd else 1))
@@ -426,11 +427,10 @@ class MatrixInvariants:
         """The generic matrix of the given letter (name or index)."""
         if isinstance(s, str):
             s = self.alphabet.index(s)
-        return self.word_matrix(Word((s,)))
+        return self.word_matrix((s,))
 
     def word_matrix(self, w: Word) -> MatrixPoly:
         """Image of a word under j_n (the empty word gives the identity)."""
-        w = Word(w)
         m = self._word_mats.get(w)
         if m is not None:
             return m
@@ -446,7 +446,7 @@ class MatrixInvariants:
                                    for j in range(1, n + 1)]
                                   for i in range(1, n + 1)])
         else:
-            m = self.word_matrix(Word(w[:-1])) * self.word_matrix(Word(w[-1:]))
+            m = self.word_matrix(w[:-1]) * self.word_matrix(w[-1:])
         self._word_mats[w] = m
         return m
 
@@ -472,7 +472,7 @@ class MatrixInvariants:
             self._check_letters(w)
         lyndon, choices = _amitsur_choices(tuple(e for _, e in m.factors),
                                            self.n)
-        necks = [cyclic_normal_form(Word(x for k in u for x in words[k]))
+        necks = [cyclic_normal_form(tuple(x for k in u for x in words[k]))
                  for u in lyndon]
         row: dict[tuple, int] = {}
         for f, sign in choices:
@@ -533,7 +533,8 @@ class MatrixInvariants:
         cands = [(w, i)
                  for w in enumerate_lyndon_words(nletters, max_multidegree=d)
                  for i in range(1, self.n + 1)]
-        degs = [tuple(i * x for x in w.multidegree(nletters)) for w, i in cands]
+        degs = [tuple(i * x for x in multidegree(w, nletters))
+                for w, i in cands]
         keys = (tuple(sorted(cands[k] for k, e in picks for _ in range(e)))
                 for picks in multisets(degs, d))
         return {key: self.product(key) for key in keys}

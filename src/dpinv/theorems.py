@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .backend import combine, eliminate
 from .exactla import ExactMatrix, reduce_row
-from .freering import Alphabet, FreePoly, Word, compositions
+from .freering import Alphabet, FreePoly, Word, compositions, multidegree
 from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
                     enumerate_dp_monomials, rho_n, sigma_n, tau,
                     tau_monomials)
@@ -272,7 +272,7 @@ def verify_thm_2_2_2_cell(n: int, d: tuple[int, ...], alphabet: Alphabet,
 def _scaled_multidegree(f: FreePoly, k: int, alphabet: Alphabet
                         ) -> tuple[int, ...]:
     """k times the multidegree of f if f is homogeneous, else ()."""
-    degs = {w.multidegree(len(alphabet)) for w in f.terms}
+    degs = {multidegree(w, len(alphabet)) for w in f.terms}
     return tuple(k * x for x in next(iter(degs))) if len(degs) == 1 else ()
 
 

@@ -110,6 +110,18 @@ def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_an_over_long_integer_is_a_clear_error(capsys):
+    # int() raised a bare ValueError past its 4300-digit limit
+    long = "9" * 5000
+    code, out, err = run(capsys, "tau", "[x^(1)|lim]", f"[x^({long})|lim]")
+    assert code == 2 and out == ""
+    assert err == ("error: integer of 5000 digits is too long (at position 4)"
+                   f"\n  [x^({long})|lim]\n      ^\n")
+    code, out, err = run(capsys, "verify", "--n", f"1..{long}")
+    assert code == 2 and out == ""
+    assert err == f"error: bad level list '1..{long}'\n"
+
+
 def test_negative_letter_count_is_a_clear_error(capsys):
     # it sliced the letter pool from its end and ran over 25 letters
     code, out, err = run(capsys, "tau", "[x^(1)|lim]", "[x^(1)|lim]",

@@ -6,14 +6,20 @@ import pytest
 from dpinv.freering import (Alphabet, FreePoly, ParseError, Word,
                             compositions, cyclic_normal_form,
                             distinct_permutations, enumerate_lyndon_words,
-                            enumerate_words, multisets, parse_freepoly,
-                            word_from_str)
+                            enumerate_words, multidegree, multisets,
+                            parse_freepoly, word_from_str)
+from dpinv.gamma import (DPMonomial, enumerate_dp_monomials, parse_gamma,
+                         tau_monomials)
 
 AB = Alphabet("xy")
 
 
 def w(text):
     return word_from_str(text, AB)
+
+
+def spell(word):
+    return "".join(AB[a] for a in word)
 
 
 def words_up_to(nletters, length):
@@ -96,16 +102,16 @@ def test_enumerate_lyndon_words_counts_match_witt_formula():
             got = [u for u in enumerate_lyndon_words(2, (a, length - a))
                    if len(u) == length]
             assert len(got) == expected, (a, length - a)
-    assert [u.to_str(AB) for u in enumerate_lyndon_words(2, (2, 2))] == \
+    assert [spell(u) for u in enumerate_lyndon_words(2, (2, 2))] == \
         ["x", "y", "xy", "xxy", "xyy", "xxyy"]
 
 
 def test_enumerate_words_examples():
-    names = [word.to_str(AB) for word in words_up_to(2, 2)]
+    names = [spell(word) for word in words_up_to(2, 2)]
     assert names == ["x", "y", "xx", "xy", "yx", "yy"]
     lyndon = [u for u in enumerate_lyndon_words(2, (2, 2)) if len(u) <= 2]
     assert all(type(u) is Word for u in lyndon)
-    assert [u.to_str(AB) for u in lyndon] == ["x", "y", "xy"]
+    assert [spell(u) for u in lyndon] == ["x", "y", "xy"]
     assert enumerate_words(2, max_multidegree=(0, 0)) == []
 
 
@@ -115,7 +121,7 @@ def words_oracle(bound):
     r = len(bound)
     return [Word(ls) for length in range(1, sum(bound) + 1)
             for ls in itertools.product(range(r), repeat=length)
-            if all(a <= b for a, b in zip(Word(ls).multidegree(r), bound))]
+            if all(a <= b for a, b in zip(multidegree(ls, r), bound))]
 
 
 # two letters at |d| <= 7, three at |d| <= 5, and two lopsided bounds
@@ -150,7 +156,7 @@ def test_multidegree_bound_needs_one_entry_per_letter():
             enumerate_words(2, max_multidegree=bound)
         with pytest.raises(ValueError):
             enumerate_lyndon_words(2, max_multidegree=bound)
-    assert [u.to_str(AB) for u in enumerate_words(2, max_multidegree=(1, 0))] \
+    assert [spell(u) for u in enumerate_words(2, max_multidegree=(1, 0))] \
         == ["x"]
 
 
@@ -248,6 +254,22 @@ def test_freepoly_power_and_constants():
     assert fp("2") * fp("3") == fp("6")
     assert fp("x*y - y*x").constant_term == 0
     assert fp("x + 1").constant_term == 1
+
+
+def test_every_producer_hands_out_plain_tuples():
+    x = DPMonomial((((0,), 1),))
+    [m] = parse_gamma("[x^(1)|lim]", AB).terms
+    assert m is x  # interned by content
+    xy = parse_gamma("[x^(1) y^(1) xy^(2)|lim]", AB)
+    monos = (list(xy.terms) + list(tau_monomials(*xy.terms, *xy.terms).terms)
+             + enumerate_dp_monomials((2, 2)))
+    f = fp("2*x*y^2 - y*x + 3")
+    words = ([w("xyx"), cyclic_normal_form(w("yxx"))]
+             + enumerate_words(2, (2, 2)) + enumerate_lyndon_words(2, (2, 2))
+             + f.words() + (f * f).words() + FreePoly.one().words()
+             + FreePoly.letter(1).words()
+             + [u for m in monos for u, _ in m.factors])
+    assert len(words) > 100 and all(type(u) is tuple for u in words)
 
 
 def test_parse_whitespace_insensitive():

@@ -120,6 +120,25 @@ def test_integers_are_ascii_digits(parse, text, message, pos):
     assert error_of(parse, text) == (f"{message} (at position {pos})", pos)
 
 
+# past the interpreter's 4300-digit int-string limit, int() raised a bare
+# ValueError with no offset
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("parse, text, pos", [
+    (lambda t: parse_freepoly(t, AB), f"2*x^{LONG}", 4),
+    (lambda t: parse_freepoly(t, AB), f"x + {LONG}", 4),
+    (lambda t: parse_gamma(t, AB), f"[x^({LONG})|lim]", 4),
+    (lambda t: parse_gamma(t, AB), f"{LONG}*[x^(1)|lim]", 0),
+    (parse_sympoly, f"e[{LONG}]", 2),
+    (parse_sympoly, f"e[1] @ {LONG}", 7),
+], ids=["freepoly-exponent", "freepoly-constant", "gamma-exponent",
+        "gamma-coefficient", "sympoly-part", "sympoly-nvars"])
+def test_an_over_long_integer_is_a_parse_error(parse, text, pos):
+    assert error_of(parse, text) == (
+        f"integer of 5000 digits is too long (at position {pos})", pos)
+
+
 def test_scanner_tokens():
     sc = Scanner(" 12 ..3 , x")
     assert sc.integer() == 12 and sc.take("..") and sc.integer() == 3

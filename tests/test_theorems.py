@@ -7,8 +7,8 @@ import pytest
 from dpinv import gamma, theorems
 from dpinv.backend import poly_add_scaled
 from dpinv.exactla import ExactMatrix, reduce_row
-from dpinv.freering import (Alphabet, FreePoly, Word, parse_freepoly,
-                            word_from_str)
+from dpinv.freering import (Alphabet, FreePoly, Word, multidegree,
+                            parse_freepoly, word_from_str)
 from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
                          tau, tau_monomials)
 from dpinv.invariants import MatrixInvariants
@@ -574,7 +574,7 @@ def brute_force_generators(f, level):
             continue
         for letters in itertools.product(range(nletters), repeat=sum(f) // k):
             w = Word(letters)
-            if tuple(k * x for x in w.multidegree(nletters)) == f:
+            if tuple(k * x for x in multidegree(w, nletters)) == f:
                 out.append(DPMonomial.single(w, k))
     return sorted(out, key=DPMonomial.sort_key)
 
