@@ -12,9 +12,9 @@ from .exactla import ExactMatrix, in_span
 from .freering import (Alphabet, FreePoly, ParseError, Word,
                        cyclic_normal_form, enumerate_lyndon_words,
                        enumerate_words, parse_freepoly, word_from_str)
-from .gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
-                    dp_expand, enumerate_dp_monomials, format_gamma,
-                    parse_gamma, rho_n, sigma_n, tau)
+from .gamma import (ContextError, DPMonomial, GammaElement, dp_expand,
+                    enumerate_dp_monomials, format_gamma, parse_gamma, rho_n,
+                    sigma_n, tau)
 from .invariants import (CommPoly, MatrixInvariants, MatrixPoly, PolyRing,
                          charpoly_coeffs, det_cofactor)
 from .symfunc import (Partition, SymPoly, m_to_e, partitions, plethysm_e_p,

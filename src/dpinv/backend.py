@@ -210,10 +210,10 @@ def eliminate(rows, track=False, smith=False):
     copy of a live row is no special case, it reduces to zero like any
     other dependent row.
 
-    With ``smith`` (not with ``track``), ``abs(row[col])`` over the pivots
-    is the Smith form.  A non-unit pivot row that no other live row meets
-    at c is reduced modulo p off c, by column operations that change no
-    other live row.  It is taken only if that leaves no entry and p
+    With ``smith`` (a ValueError with ``track``), ``abs(row[col])`` over
+    the pivots is the Smith form.  A non-unit pivot row that no other live
+    row meets at c is reduced modulo p off c, by column operations that
+    change no other live row.  It is taken only if that leaves no entry and p
     divides every live entry; else the first row that breaks this is added
     to it, it is reduced again, and it stays live.  A taken pivot is
     cleared off c by column operations too, so Smith(M) is |p| followed by
@@ -225,6 +225,9 @@ def eliminate(rows, track=False, smith=False):
     modulo p, nonzero after a fold where the added row is not divisible
     by p.
     """
+    if track and smith:
+        # the Smith fold re-admits a pivot row without its combination
+        raise ValueError("eliminate tracks no combinations with smith")
     live = {}      # row id -> {col: nonzero value}
     nrows_in = defaultdict(int)  # col -> number of live rows nonzero there
     heap = []      # (length, row id) of rows that hold a +-1 entry

@@ -30,13 +30,14 @@ THEOREMS = ("2.2.2", "ch", "plethysm", "zubkov", "tau-axioms")
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    """Accept '2', '1..3' or '1,2,3'."""
+    """Accept '2', '1..3' or '1,2,3', every level below
+    ``EXPONENT_BOUND``; a range is checked before it is expanded."""
     sc = Scanner(spec)
     out: set[int] = set()
     try:
         while True:
-            lo = sc.integer()
-            hi = sc.integer() if sc.take("..") else lo
+            lo = sc.bounded("level")
+            hi = sc.bounded("level") if sc.take("..") else lo
             out.update(range(lo, hi + 1))
             if not sc.take(","):
                 break

@@ -355,6 +355,17 @@ class Scanner:
             raise ParseError(f"integer of {len(digits)} digits is too long",
                              self.pos - len(digits), self.text) from None
 
+    def bounded(self, what: str) -> int:
+        """Read a required unsigned integer below ``EXPONENT_BOUND``; one
+        at or above it is an error at its first digit, naming it ``what``."""
+        self.peek()
+        at = self.pos
+        value = self.integer()
+        if value >= EXPONENT_BOUND:
+            raise ParseError(f"{what} {value} is not below the packing's "
+                             f"bound {EXPONENT_BOUND}", at, self.text)
+        return value
+
     def end(self) -> None:
         """Fail unless only whitespace is left."""
         if self.peek():
@@ -389,14 +400,7 @@ def _factor(sc: Scanner, alphabet: Alphabet) -> FreePoly:
     an integer constant."""
     ch = sc.take(*alphabet.names)
     if ch:
-        exp = 1
-        if sc.take("^"):
-            sc.peek()
-            at = sc.pos
-            exp = sc.integer()
-            if exp >= EXPONENT_BOUND:
-                raise ParseError(f"exponent {exp} is not below the packing's "
-                                 f"bound {EXPONENT_BOUND}", at, sc.text)
+        exp = sc.bounded("exponent") if sc.take("^") else 1
         return FreePoly.from_word((alphabet.index(ch),) * exp)
     c = sc.integer(required=False)
     if c is None:

@@ -344,28 +344,6 @@ def dp_expand(f: FreePoly, k: int) -> GammaElement:
     return GammaElement(terms, None)
 
 
-def chi_formal(f: FreePoly, n: int) -> dict[DPMonomial, FreePoly]:
-    """The degree-n Cayley-Hamilton element of f, grouped by its
-    divided-power factor.
-
-    chi_n(f) = f^n + sum_{i=1..n} (-1)^i f^(i) (x) f^(n-i) lies in (level-n
-    divided powers) (x) (the free ring).  The result maps each level-n
-    basis monomial to its word polynomial: the identity monomial to f^n,
-    and each monomial of f^(i), of weight i, to its coefficient times
-    (-1)^i f^(n-i), a constant when i = n.
-    """
-    if f.constant_term != 0:
-        raise ValueError("chi_formal requires a zero constant term")
-    if f.is_zero():
-        raise ValueError("chi_formal requires a nonzero argument")
-    out = {DPMonomial.one(): f ** n}
-    for i in range(1, n + 1):
-        rest = f ** (n - i) * (-1) ** i
-        for mono, c in dp_expand(f, i).terms.items():
-            out[mono] = rest * c
-    return out
-
-
 def enumerate_dp_monomials(d: tuple[int, ...],
                            max_weight: int | None = None) -> list[DPMonomial]:
     """Standard-basis monomials of multidegree exactly d.
@@ -422,7 +400,8 @@ def parse_gamma(text: str, alphabet: Alphabet) -> GammaElement:
 
 def _bracket(sc: Scanner, alphabet: Alphabet
              ) -> tuple[DPMonomial, int | None]:
-    """``[w^(e) ... | lim]`` or ``[w^(e) ... | n=<level>]``."""
+    """``[w^(e) ... | lim]`` or ``[w^(e) ... | n=<level>]``, every e and
+    the level below ``EXPONENT_BOUND``."""
     sc.expect("[")
     factors = []
     while not sc.take("|"):
@@ -431,13 +410,14 @@ def _bracket(sc: Scanner, alphabet: Alphabet
             raise sc.error("expected a word")
         sc.expect("^")
         sc.expect("(")
-        factors.append((word_from_str(letters, alphabet), sc.integer()))
+        factors.append((word_from_str(letters, alphabet),
+                        sc.bounded("exponent")))
         sc.expect(")")
     if sc.take("lim"):
         level = None
     elif sc.take("n"):
         sc.expect("=")
-        level = sc.integer()
+        level = sc.bounded("level")
     else:
         raise sc.error("expected 'lim' or 'n=<int>'")
     sc.expect("]")

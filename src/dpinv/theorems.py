@@ -26,9 +26,8 @@ from typing import NamedTuple
 from .backend import combine, eliminate
 from .exactla import ExactMatrix, reduce_row
 from .freering import Alphabet, FreePoly, Word, compositions, multidegree
-from .gamma import (DPMonomial, GammaElement, chi_formal, dp_expand,
-                    enumerate_dp_monomials, rho_n, sigma_n, tau,
-                    tau_monomials)
+from .gamma import (DPMonomial, GammaElement, dp_expand,
+                    enumerate_dp_monomials, rho_n, sigma_n, tau, tau_monomials)
 from .invariants import MatrixInvariants, MatrixPoly, mixed_minor_sum
 from .symfunc import plethysm_e_p, rho_a_substitute
 
@@ -287,18 +286,24 @@ def verify_plethysm_cell(a: FreePoly, n: int, i: int, alphabet: Alphabet
 
 def verify_cayley_hamilton(f: FreePoly, n: int, alphabet: Alphabet
                            ) -> VerifyEntry:
-    """chi_n(f) evaluates to the zero matrix under the invariant pairing
-    tensored with the generic-matrix evaluation.
+    """chi_n(f) = sum_{i=0..n} (-1)^i f^(i) (x) f^(n-i) evaluates to the
+    zero matrix under the invariant pairing tensored with the
+    generic-matrix evaluation.
 
-    ``chi_formal`` groups the terms by their divided-power monomial, so
-    each distinct monomial is paired once and scales the image of its word
-    polynomial.  The image is GL_n-equivariant, so it is computed on the
-    diagonal slice of letter 0.
+    j_n is a ring map, so that image is sum_i (-1)^i pi(f^(i)) F^(n-i),
+    F = j_n(f), which Horner's rule folds as acc <- acc F + (-1)^i
+    pi(f^(i)) I for i = 0..n.  The image is GL_n-equivariant, so it is
+    computed on the diagonal slice of letter 0.
     """
+    if f.is_zero():
+        raise ValueError("the Cayley-Hamilton check requires a nonzero "
+                         "argument")
     inv = MatrixInvariants.get(alphabet, n, 0)
+    big_f = inv.jn_eval(f)
     acc = MatrixPoly.identity(inv.ring, n, 0)
-    for mono, poly in chi_formal(f, n).items():
-        acc = acc + inv.jn_eval(poly) * inv.pi_monomial(mono)
+    for i in range(n + 1):
+        pi_i = inv.pi_n_eval(sigma_n(dp_expand(f, i), n))
+        acc = acc * big_f + MatrixPoly.identity(inv.ring, n, (-1) ** i) * pi_i
     return VerifyEntry("ch", n, _scaled_multidegree(f, n, alphabet),
                        0, 0, 0, acc.is_zero())
 

@@ -103,6 +103,10 @@ def test_sym_command(capsys):
      "an exponent reached 128, the packing's bound"),
     (("verify", "--maxdeg", "-3"), "--maxdeg must be at least 0, not -3"),
     (("verify", "--workers", "-4"), "--workers must be at least 0, not -4"),
+    # a level list is bounded before a range is expanded
+    (("verify", "--n", "1..128"), "bad level list '1..128'"),
+    (("verify", "--n", "1..1000000000000"),
+     "bad level list '1..1000000000000'"),
 ])
 def test_out_of_range_input_is_a_clear_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

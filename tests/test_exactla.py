@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from dpinv.backend import eliminate
 from dpinv.exactla import ExactMatrix, in_span
 
 
@@ -178,6 +179,13 @@ def test_smith_with_units_and_torsion_left_over():
     # the unit pivot in (0, 1, 2) turns both other rows into (1, 0, -1)
     m = ExactMatrix([[1, 2, 3], [1, 3, 5], [0, 1, 2]])
     assert m.smith_normal_form() == [1, 1] and m.rank() == 2
+
+
+def test_eliminate_refuses_to_track_with_smith():
+    # the Smith fold re-admitted [2, 3] as the pivot row [2, 1] with the
+    # combination {0: 1}, which rebuilds [2, 3]
+    with pytest.raises(ValueError):
+        eliminate([{0: 2, 1: 3}], track=True, smith=True)
 
 
 def test_in_span_examples():

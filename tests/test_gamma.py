@@ -9,9 +9,9 @@ import pytest
 from dpinv import gamma
 from dpinv.freering import Alphabet, FreePoly, Word, word_from_str
 from dpinv.backend import poly_add_scaled
-from dpinv.gamma import (ContextError, DPMonomial, GammaElement, chi_formal,
-                         dp_expand, enumerate_dp_monomials, format_gamma,
-                         parse_gamma, rho_n, sigma_n, tau)
+from dpinv.gamma import (ContextError, DPMonomial, GammaElement, dp_expand,
+                         enumerate_dp_monomials, format_gamma, parse_gamma,
+                         rho_n, sigma_n, tau)
 
 AB = Alphabet("xy")
 X = word_from_str("x", AB)
@@ -259,30 +259,6 @@ def test_tau_is_graded():
         target = tuple(x + y for x, y in zip(u.multidegree(2),
                                              v.multidegree(2)))
         assert all(m.multidegree(2) == target for m in prod.terms)
-
-
-def test_chi_formal_small():
-    fx = FreePoly.letter(0)
-    # each divided-power monomial maps to its word polynomial; the top
-    # divided power carries a constant
-    assert chi_formal(fx, 1) == {DPMonomial.one(): FreePoly({X: 1}),
-                                 mono((X, 1)): FreePoly({Word(): -1})}
-    assert chi_formal(fx, 2) == {DPMonomial.one(): FreePoly({XX: 1}),
-                                 mono((X, 1)): FreePoly({X: -1}),
-                                 mono((X, 2)): FreePoly({Word(): 1})}
-    # f = x + xy at n=2: each monomial of f^(1) carries -f, and each one of
-    # f^(2) its coefficient as a constant
-    f = FreePoly({X: 1, XY: 1})
-    chi = chi_formal(f, 2)
-    assert len(chi) == 3 + len(dp_expand(f, 2).terms)
-    assert chi[DPMonomial.one()] == f * f
-    assert chi[mono((X, 1))] == -f and chi[mono((XY, 1))] == -f
-    assert {m: p for m, p in chi.items() if m.weight == 2} == {
-        m: FreePoly({Word(): c}) for m, c in dp_expand(f, 2).terms.items()}
-    with pytest.raises(ValueError):
-        chi_formal(FreePoly.one(), 1)
-    with pytest.raises(ValueError):
-        chi_formal(FreePoly.zero(), 1)
 
 
 def test_enumerate_dp_monomials():

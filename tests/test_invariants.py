@@ -153,6 +153,16 @@ def test_jn_eval_is_a_ring_map():
     assert direct == zx * zy - zy * zx
     assert ctx.jn_eval(FreePoly.one()).entries[0][0].to_str() == "1"
     assert ctx.jn_eval(FreePoly.letter(0)) == zx
+    # j(f^k) = j(f)^k, on which the Cayley-Hamilton check's Horner rule
+    # rests, for its elements on the diagonal slice of letter 0
+    for n in (2, 3):
+        sliced = MatrixInvariants.get(AB, n, 0)
+        for text in ["x", "x*y", "x+y", "x+x*y"]:
+            f = parse_freepoly(text, AB)
+            power = MatrixPoly.identity(sliced.ring, n)
+            for k in range(n + 1):
+                assert sliced.jn_eval(f ** k) == power, (n, text, k)
+                power = power * sliced.jn_eval(f)
 
 
 def int_charpoly_oracle(m):

@@ -62,6 +62,12 @@ GAMMA_ERRORS = [
      "mixed contexts in one element", 25),
     ("[x^(3)|n=2]", "monomial weight 3 exceeds level 2", 11),
     ("[x^(1)|n=2] + [y^(3)|n=2]  ", "monomial weight 3 exceeds level 2", 27),
+    # tau loops once per value of an interior cell, and pi builds a ring of
+    # letters * n^2 variables: both are bounded before any work
+    ("[x^(128)|lim]", "exponent 128 is not below the packing's bound 128", 4),
+    ("[x^(1) y^( 1000000000000)|n=3]",
+     "exponent 1000000000000 is not below the packing's bound 128", 11),
+    ("[x^(1)|n=128]", "level 128 is not below the packing's bound 128", 9),
 ]
 
 

@@ -9,8 +9,8 @@ from dpinv.backend import poly_add_scaled
 from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import (Alphabet, FreePoly, Word, multidegree,
                             parse_freepoly, word_from_str)
-from dpinv.gamma import (DPMonomial, GammaElement, enumerate_dp_monomials,
-                         tau, tau_monomials)
+from dpinv.gamma import (DPMonomial, GammaElement, dp_expand,
+                         enumerate_dp_monomials, tau, tau_monomials)
 from dpinv.invariants import MatrixInvariants
 from dpinv.theorems import (_sub_multidegrees,
                             abelianized_piece, multidegrees,
@@ -450,25 +450,37 @@ def test_sliced_cells_match_the_full_ring(monkeypatch):
     assert run() == sliced
 
 
+def _cayley_hamilton_mutants(f, n):
+    """The monomials of f^(0), ..., f^(n), one mutant of the check each."""
+    return [m for i in range(n + 1) for m in dp_expand(f, i).terms]
+
+
+def _double_in_dp_expand(monkeypatch, mono):
+    """Make the check read each f^(i) with the coefficient of mono doubled
+    (none when mono is None)."""
+    def doubled(g, k):
+        out = gamma.dp_expand(g, k)
+        if mono in out.terms:
+            out.terms[mono] *= 2
+        return out
+    monkeypatch.setattr(theorems, "dp_expand", doubled)
+
+
 def test_sliced_cayley_hamilton_matches_the_full_ring(monkeypatch):
-    # the genuine chi_n(f), and chi_n(f) with one term doubled
-    genuine = theorems.chi_formal
+    # the genuine chi_n(f), and chi_n(f) with one monomial's coefficient
+    # doubled in one f^(i)
     cases = []
     for n in (1, 2, 3):
         for text in ["x", "y", "x*y", "x+y", "x+x*y"]:
             f = parse_freepoly(text, AB)
             cases.append((f, n, None))
-            cases += [(f, n, mono) for mono in genuine(f, n)]
+            cases += [(f, n, mono) for mono in _cayley_hamilton_mutants(f, n)]
+    assert sum(mono is not None for _, _, mono in cases) == 65
 
     def run():
         verdicts = []
         for f, n, mono in cases:
-            def chi(g, k, mono=mono):
-                out = genuine(g, k)
-                if mono is not None:
-                    out[mono] = out[mono] * 2
-                return out
-            monkeypatch.setattr(theorems, "chi_formal", chi)
+            _double_in_dp_expand(monkeypatch, mono)
             verdicts.append(verify_cayley_hamilton(f, n, AB).passed)
         return verdicts
 
@@ -638,24 +650,22 @@ def test_verify_cayley_hamilton_spec_cases():
             assert e.passed, (n, text)
     e = verify_cayley_hamilton(parse_freepoly("x", AB), 1, AB)
     assert e.multidegree == (1, 0)
+    with pytest.raises(ValueError):
+        verify_cayley_hamilton(FreePoly.one(), 1, AB)
+    with pytest.raises(ValueError):
+        verify_cayley_hamilton(FreePoly.zero(), 1, AB)
 
 
 def test_cayley_hamilton_fails_on_one_doubled_term(monkeypatch):
-    # doubling the word polynomial of any one divided-power monomial of
-    # chi_n(f) leaves that term's image over, and the verdict must see it
-    genuine = theorems.chi_formal
-    for n in (1, 2):
-        for text in ["x", "x*y", "x+y"]:
-            f = parse_freepoly(text, AB)
-            for mono in genuine(f, n):
-                def doubled(g, k, mono=mono):
-                    chi = genuine(g, k)
-                    chi[mono] = chi[mono] * 2
-                    return chi
-                monkeypatch.setattr(theorems, "chi_formal", doubled)
-                assert not verify_cayley_hamilton(f, n, AB).passed, \
-                    (n, text, mono)
-                monkeypatch.undo()
+    # doubling the coefficient of any one monomial of one f^(i) leaves that
+    # term's image over, and the verdict must see it
+    cases = [(f, n, mono) for n in (1, 2)
+             for f in (parse_freepoly(t, AB) for t in ["x", "x*y", "x+y"])
+             for mono in _cayley_hamilton_mutants(f, n)]
+    assert len(cases) == 19
+    for f, n, mono in cases:
+        _double_in_dp_expand(monkeypatch, mono)
+        assert not verify_cayley_hamilton(f, n, AB).passed, (n, f, mono)
 
 
 def test_verify_zubkov():
