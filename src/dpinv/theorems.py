@@ -11,8 +11,12 @@ is injective on invariants and on GL_n-equivariant matrix maps (see
 integer characteristic polynomials at a random point of its slice.  Its
 relations are the commutator ideal of the level in its multidegree, one
 ``eliminate`` of the products of the ``_generators`` with the cached
-ideals of smaller multidegrees (``_commutator_ideal``).  The Zubkov check
-ranks the ideal of the generators of weight above n.
+ideals of smaller multidegrees (``_commutator_ideal``).  Only cells whose
+multidegree is non-increasing are built so.  A permutation sigma of the
+letters is an automorphism of each level, so sigma(I_d) = I_{sigma(d)},
+and every other cell is its canonical cell with the letters renamed, put
+through ``eliminate`` once more.  The Zubkov check ranks the ideal of the
+generators of weight above n.
 """
 
 from __future__ import annotations
@@ -116,7 +120,33 @@ def _commutator_ideal(d: tuple[int, ...], level: int | None
     span these, and every row lies in I_d.  The argument needs both sides:
     the left products alone gave the same lattices on every cell tried,
     but nothing here shows that they must.
+
+    Only canonical cells, d non-increasing, are built so.  Any other d is
+    the image of one under a permutation of the letters.  ``order`` sorts
+    the letters by decreasing degree, stably, so tied letters keep their
+    places, and canon = (d[order[0]], d[order[1]], ...) is non-increasing.
+    Renaming letter a as order[a] in every word is a permutation sigma of
+    the words, and so of the basis monomials of each level, weights kept.
+    tau is built from words and their concatenations alone, so sigma is a
+    ring automorphism of the level, and it sends generators to generators
+    and commutators to commutators: sigma(I_canon) = I_d.  So the renamed
+    pivots of I_canon are a Z-basis of I_d.  Since sigma is a bijection of
+    the basis, they are still in echelon form: each keeps a column where
+    every later one is zero.  They go through ``eliminate`` once more, so
+    that every cell is the pivots of one ``eliminate`` of its rows.  That
+    elimination is unimodular, so it keeps the lattice, and its rows are
+    already independent, so it is cheap.
     """
+    if any(a < b for a, b in zip(d, d[1:])):
+        # letter a of the canonical cell is letter order[a] of d
+        order = sorted(range(len(d)), key=lambda k: -d[k])
+        rows = [{DPMonomial((tuple(order[a] for a in w), e)
+                            for w, e in m.factors): c
+                 for m, c in x.terms.items()}
+                for x in _commutator_ideal(tuple(d[k] for k in order),
+                                           level)]
+        return tuple(GammaElement(row, level)
+                     for _, row, _ in eliminate(rows))
     gens = {f: [GammaElement.monomial(m, level)
                 for m in _generators(f, level)]
             for f in _sub_multidegrees(d) if sum(f)}

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from dpinv import gamma, theorems
-from dpinv.backend import poly_add_scaled
+from dpinv.backend import eliminate, poly_add_scaled
 from dpinv.exactla import ExactMatrix, reduce_row
 from dpinv.freering import (Alphabet, FreePoly, Word, multidegree,
                             parse_freepoly, word_from_str)
@@ -216,6 +216,28 @@ def test_the_commutator_ideal_is_two_sided(level):
                             for j, c in coords.items():
                                 poly_add_scaled(back, rows[j], c)
                             assert back == t.terms
+
+
+def test_relabelled_cells_have_the_directly_built_lattice():
+    # a cell whose d is not non-increasing is its canonical cell with the
+    # letters permuted; its pivots must lie in d and span, with integer
+    # certificates both ways, the lattice of all commutator pairs in d.  A
+    # 3-cycle such as d = (0, 2, 1) tells the permutation from its inverse
+    for level, d in RELATION_CELLS:
+        basis = enumerate_dp_monomials(d, level)
+        pivots = [x.terms for x in theorems._commutator_ideal(d, level)]
+        assert all(m.multidegree(len(d)) == d
+                   for row in pivots for m in row), (level, d)
+        oracle = [{basis[i]: c for i, c in enumerate(row) if c}
+                  for row in all_pairs_relation_rows(level, d)]
+        for rows, targets in ((eliminate(dict(r) for r in oracle), pivots),
+                              ([(c, row, None) for c, row in
+                                zip(_echelon_columns(pivots), pivots)],
+                               oracle)):
+            for t in targets:
+                coords, rest = reduce_row(rows, t)
+                assert not rest, (level, d)
+                assert all(type(c) is int for c in coords.values())
 
 
 def test_thm_222_strict_z():
